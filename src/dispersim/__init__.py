@@ -58,7 +58,6 @@ from .graph import (
     InitialPlacement,
     PortLabeledGraph,
     build_graph,
-    diameter,
     generate,
     graph_from_text,
     graph_to_text,

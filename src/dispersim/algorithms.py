@@ -1,10 +1,11 @@
 """Pure step functions for the three dispersion algorithms.
 
-Each function consumes (robot state, local node view, mutex winner) and
-returns the successor state plus an action; helping-family steps also return
-the record updates to apply at the serving docked robot.  Steps never mutate
-anything: the engine owns all state application, which keeps runs replayable
-from a single mutation point.
+Every step has one signature, ``(state, view, mutex_winner) -> (state,
+action, effects)``: it consumes the robot state, the local node view and the
+node's mutex winner, and returns the successor state, an action and the help
+records to apply at serving docked robots (always empty for the independent
+family).  Steps never mutate anything: the engine owns all state
+application, which keeps runs replayable from a single mutation point.
 
 A step sees only the local view: node degree, the docked robot's handle (its
 label and the viewer's own slots in its arrays), co-located undocked labels,
@@ -135,72 +136,13 @@ def helping_sync_step(
 
     A settled robot's helper block is realized through its visitors' steps
     (the engine applies their HelpRecords via ``settled_service``), so the
-    settled case is a no-op here.  ``mutex_winner`` must be the node's
-    arbitration result when the node is free, None otherwise.  The winner's
-    recording of robots co-located at docking time is realized by the losers'
-    HelpRecords, emitted in this same round.
+    settled case is a passive STAY here.  The winner's recording of robots
+    co-located at docking time is realized by the losers' HelpRecords,
+    emitted in this same round.
     """
     if state.mode is Mode.SETTLED:
         return state, STAY, ()
-
-    pe = state.port_entered
-    pp = state.parent_ptr
-    seen = state.seen
-    if state.round > 0:
-        pe = pp = view.entry_port
-        seen = False
-    nxt = state.round + 1
-
-    if state.mode is Mode.EXPLORE:
-        effects: tuple[HelpRecord, ...] = ()
-        if view.docked is not None:
-            # node claimed in an earlier round: read own slots at the dock
-            seen = view.docked.visited_self
-            pp = view.docked.entry_port_self
-            if seen:
-                new = replace(
-                    state,
-                    mode=Mode.BACKTRACK,
-                    port_entered=pe,
-                    parent_ptr=pp,
-                    seen=True,
-                    round=nxt,
-                )
-                return new, Move(pe), ()
-            pp = pe
-            effects = (HelpRecord(view.docked.label, state.label, pe),)
-        else:
-            if mutex_winner is None:
-                raise SimulationInvariantError(
-                    f"robot {state.label} at a free node without arbitration"
-                )
-            if mutex_winner == state.label:
-                new = replace(
-                    state, port_entered=pe, parent_ptr=pp, seen=seen, round=nxt
-                )
-                return settle_helping(new), DOCK, ()
-            # loser: the winner records this robot's current entry port
-            effects = (HelpRecord(mutex_winner, state.label, pe),)
-        pe = _advance(pe, view.degree)
-        mode = Mode.BACKTRACK if pe == pp else Mode.EXPLORE
-        new = replace(
-            state, mode=mode, port_entered=pe, parent_ptr=pp, seen=seen, round=nxt
-        )
-        return new, Move(pe), effects
-
-    # backtrack: the target node always holds a docked robot
-    if view.docked is None:
-        raise SimulationInvariantError(
-            f"robot {state.label} backtracked into a node with no docked robot"
-        )
-    seen = view.docked.visited_self
-    pp = view.docked.entry_port_self
-    pe = _advance(pe, view.degree)
-    mode = Mode.EXPLORE if pe != pp else Mode.BACKTRACK
-    new = replace(
-        state, mode=mode, port_entered=pe, parent_ptr=pp, seen=seen, round=nxt
-    )
-    return new, Move(pe), ()
+    return _helping_body(state, view, mutex_winner)
 
 
 def helping_async_step(
@@ -208,18 +150,26 @@ def helping_async_step(
 ) -> tuple[HelpingState, Action, tuple[HelpRecord, ...]]:
     """One asynchronous loop-body iteration of the helping algorithm.
 
-    Differences from the synchronous body: docking breaks out immediately
-    after initializing the arrays (co-located robots are served later as
-    ordinary visitors), and a mutex loser exchanges with the fresh winner --
-    whose arrays are necessarily blank -- so it always records a first visit
-    there.  The winner may be a robot other than the acting one; the engine
+    Docking breaks out immediately after initializing the arrays (co-located
+    robots are served later as ordinary visitors), so a settled robot never
+    acts.  The winner may be a robot other than the acting one; the engine
     settles it within the same event, before applying this step's records.
     """
     if state.mode is Mode.SETTLED:
         raise SimulationInvariantError(
             f"settled robot {state.label} has no active iterations"
         )
+    return _helping_body(state, view, mutex_winner)
 
+
+def _helping_body(
+    state: HelpingState, view: LocalView, mutex_winner: int | None
+) -> tuple[HelpingState, Action, tuple[HelpRecord, ...]]:
+    """The loop body both helping variants share, for an unsettled robot.
+
+    ``mutex_winner`` must be the node's arbitration result when the node is
+    free, None otherwise.
+    """
     pe = state.port_entered
     pp = state.parent_ptr
     seen = state.seen
@@ -227,13 +177,15 @@ def helping_async_step(
         pe = pp = view.entry_port
         seen = False
     nxt = state.round + 1
+    effects: tuple[HelpRecord, ...] = ()
 
-    if state.mode is Mode.EXPLORE:
-        effects: tuple[HelpRecord, ...] = ()
-        if view.docked is not None:
-            seen = view.docked.visited_self
-            pp = view.docked.entry_port_self
+    if view.docked is not None:
+        # node claimed in an earlier round: read own slots at the dock
+        seen = view.docked.visited_self
+        pp = view.docked.entry_port_self
+        if state.mode is Mode.EXPLORE:
             if seen:
+                # revisited node: bounce straight back the way we came
                 new = replace(
                     state,
                     mode=Mode.BACKTRACK,
@@ -245,51 +197,41 @@ def helping_async_step(
                 return new, Move(pe), ()
             pp = pe
             effects = (HelpRecord(view.docked.label, state.label, pe),)
-        else:
-            if mutex_winner is None:
-                raise SimulationInvariantError(
-                    f"robot {state.label} at a free node without arbitration"
-                )
-            if mutex_winner == state.label:
-                new = replace(
-                    state, port_entered=pe, parent_ptr=pp, seen=seen, round=nxt
-                )
-                return settle_helping(new), DOCK, ()
-            # loser: the fresh winner's arrays are blank, so this is a first
-            # visit; record it there and keep exploring
-            seen = False
-            pp = pe
-            effects = (HelpRecord(mutex_winner, state.label, pe),)
-        pe = _advance(pe, view.degree)
-        mode = Mode.BACKTRACK if pe == pp else Mode.EXPLORE
-        new = replace(
-            state, mode=mode, port_entered=pe, parent_ptr=pp, seen=seen, round=nxt
-        )
-        return new, Move(pe), effects
-
-    if view.docked is None:
+    elif state.mode is Mode.BACKTRACK:
+        # the target of a backtrack always holds a docked robot
         raise SimulationInvariantError(
             f"robot {state.label} backtracked into a node with no docked robot"
         )
-    seen = view.docked.visited_self
-    pp = view.docked.entry_port_self
+    elif mutex_winner is None:
+        raise SimulationInvariantError(
+            f"robot {state.label} at a free node without arbitration"
+        )
+    elif mutex_winner == state.label:
+        new = replace(state, port_entered=pe, parent_ptr=pp, seen=seen, round=nxt)
+        return settle_helping(new), DOCK, ()
+    else:
+        # loser: a first visit at the fresh winner, whose arrays are blank;
+        # here pp == pe and seen is False already, so the winner records
+        # this robot's current entry port
+        effects = (HelpRecord(mutex_winner, state.label, pe),)
+
     pe = _advance(pe, view.degree)
-    mode = Mode.EXPLORE if pe != pp else Mode.BACKTRACK
+    mode = Mode.BACKTRACK if pe == pp else Mode.EXPLORE
     new = replace(
         state, mode=mode, port_entered=pe, parent_ptr=pp, seen=seen, round=nxt
     )
-    return new, Move(pe), ()
+    return new, Move(pe), effects
 
 
 def independent_step(
     state: IndependentState, view: LocalView, mutex_winner: int | None
-) -> tuple[IndependentState, Action]:
+) -> tuple[IndependentState, Action, tuple[HelpRecord, ...]]:
     """One loop-body iteration of the independent algorithm.
 
     The robot keeps its own visited array (indexed by docked-robot labels)
     and a stack of entry ports; the stack top is the parent pointer of the
-    current node.  Docked robots only relay their labels, so there are no
-    help records.
+    current node.  Docked robots only relay their labels, so the help
+    records are always empty.
     """
     if state.mode is Mode.SETTLED:
         raise SimulationInvariantError(
@@ -303,11 +245,20 @@ def independent_step(
     visited = state.visited
     stack = state.stack
 
-    if state.mode is Mode.EXPLORE:
+    if state.mode is Mode.BACKTRACK:
+        if view.docked is None:
+            raise SimulationInvariantError(
+                f"robot {state.label} backtracked into a node with no docked robot"
+            )
+        if not stack:
+            raise SimulationInvariantError(
+                f"robot {state.label} backtracking with an empty stack"
+            )
+    else:
         if view.docked is not None and visited[view.docked.label]:
             # revisited node: bounce straight back the way we came
             new = replace(state, mode=Mode.BACKTRACK, port_entered=pe, round=nxt)
-            return new, Move(pe)
+            return new, Move(pe), ()
         if view.docked is not None:
             marked = view.docked.label
         else:
@@ -316,10 +267,8 @@ def independent_step(
                     f"robot {state.label} at a free node without arbitration"
                 )
             if mutex_winner == state.label:
-                new = settle_independent(
-                    replace(state, port_entered=pe, round=nxt)
-                )
-                return new, DOCK
+                new = settle_independent(replace(state, port_entered=pe, round=nxt))
+                return new, DOCK, ()
             marked = mutex_winner
         # first visit: mark the docked (or freshly docking) robot, remember
         # the entry port as this node's parent pointer, take the next port
@@ -327,36 +276,13 @@ def independent_step(
         lst[marked] = True
         visited = tuple(lst)
         stack = stack + (pe,)
-        pe = _advance(pe, view.degree)
-        mode = Mode.EXPLORE
-        if pe == stack[-1]:
-            mode = Mode.BACKTRACK
-            stack = stack[:-1]
-        new = replace(
-            state,
-            mode=mode,
-            port_entered=pe,
-            round=nxt,
-            visited=visited,
-            stack=stack,
-        )
-        return new, Move(pe)
 
-    # backtrack
-    if view.docked is None:
-        raise SimulationInvariantError(
-            f"robot {state.label} backtracked into a node with no docked robot"
-        )
-    if not stack:
-        raise SimulationInvariantError(
-            f"robot {state.label} backtracking with an empty stack"
-        )
     pe = _advance(pe, view.degree)
     mode = Mode.EXPLORE
     if pe == stack[-1]:
         mode = Mode.BACKTRACK
         stack = stack[:-1]
     new = replace(
-        state, mode=mode, port_entered=pe, round=nxt, stack=stack
+        state, mode=mode, port_entered=pe, round=nxt, visited=visited, stack=stack
     )
-    return new, Move(pe)
+    return new, Move(pe), ()

@@ -177,25 +177,27 @@ def single_robot_dfs_oracle(
     visited = [False] * graph.node_count
     visited[start] = True
     seq: list[tuple[int, int]] = []
-
-    def walk(v: int, entry: int) -> None:
-        d = graph.degree(v)
-        tries = d if entry == -1 else d - 1
-        p = entry
-        for _ in range(tries):
-            p = (p + 1) % d
-            u, q = graph.traverse(v, p)
-            seq.append((v, u))
-            if visited[u]:
-                seq.append((u, v))
-            else:
-                visited[u] = True
-                walk(u, q)
-        if entry != -1:
-            u, _ = graph.traverse(v, entry)
-            seq.append((v, u))
-
-    walk(start, -1)
+    # one frame per node on the current path: [node, entry port, last port
+    # taken, ports left to try]; an explicit stack keeps long paths in reach
+    frames = [[start, -1, -1, graph.degree(start)]]
+    while frames:
+        frame = frames[-1]
+        v, entry, p, left = frame
+        if left == 0:
+            frames.pop()
+            if entry != -1:
+                u, _ = graph.traverse(v, entry)
+                seq.append((v, u))
+            continue
+        p = (p + 1) % graph.degree(v)
+        frame[2], frame[3] = p, left - 1
+        u, q = graph.traverse(v, p)
+        seq.append((v, u))
+        if visited[u]:
+            seq.append((u, v))
+        else:
+            visited[u] = True
+            frames.append([u, q, q, graph.degree(u) - 1])
     return seq
 
 

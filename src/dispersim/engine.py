@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -20,8 +20,6 @@ from .agents import (
     initial_independent_state,
     memory_bits_helping,
     memory_bits_independent,
-    settle_helping,
-    settle_independent,
 )
 from .algorithms import (
     Dock,
@@ -230,6 +228,7 @@ class WorldState:
         else:
             self.states = [initial_independent_state(i + 1, k) for i in range(k)]
         self.docked: dict[int, int] = {}
+        # ascending labels; robots only ever leave it
         self.unsettled: list[int] = list(range(1, k + 1))
         self.pending_entry: list[int] = [-1] * k
         self.arrival_index: list[int] = [0] * k
@@ -285,6 +284,16 @@ class WorldState:
             if self.positions[l - 1] == node
         ]
 
+    def arbitrate(self, node: int, policy: MutexPolicy) -> tuple[list[int], int]:
+        """Arbitrate the mutex at a free node: returns the contender labels
+        and the winner, and counts the node as contended when more than one
+        robot is parked there."""
+        contenders = self.contenders_at(node)
+        winner = arbitrate_mutex(contenders, policy)
+        if len(contenders) > 1:
+            self.mutex_contentions += 1
+        return [c.label for c in contenders], winner
+
     def apply_state(self, lab: int, state) -> None:
         old = self.states[lab - 1]
         if old.mode is Mode.SETTLED and state.mode is not Mode.SETTLED:
@@ -318,21 +327,20 @@ class WorldState:
         self.settle_time[lab - 1] = when
         self.unsettled.remove(lab)
 
-    def settle_in_absentia(self, lab: int, node: int, when: int) -> None:
-        """Dock a parked mutex winner during another robot's event: its own
-        loop body ran just far enough to refresh the entry port and break."""
-        state = self.states[lab - 1]
-        if state.round > 0:
-            entry = self.pending_entry[lab - 1]
-            if self.helping:
-                state = replace(state, port_entered=entry, parent_ptr=entry, seen=False)
-            else:
-                state = replace(state, port_entered=entry)
-        state = replace(state, round=state.round + 1)
-        settled = settle_helping(state) if self.helping else settle_independent(state)
-        self.apply_state(lab, settled)
+    def apply_iteration(self, lab: int, node: int, state, action, when: int) -> None:
+        """Apply one active iteration's successor state; a DOCK action docks
+        the robot at ``node`` at time ``when``."""
+        self.apply_state(lab, state)
         self.active_iterations[lab - 1] += 1
-        self.dock(lab, node, when)
+        if isinstance(action, Dock):
+            self.dock(lab, node, when)
+
+    def settle_in_absentia(self, lab: int, node: int, when: int, step) -> None:
+        """Dock a parked mutex winner during another robot's event: it runs
+        its own step as its own mutex winner, which refreshes its entry port
+        and docks."""
+        state, action, _ = step(self.states[lab - 1], self.local_view(lab), lab)
+        self.apply_iteration(lab, node, state, action, when)
 
     def apply_help_record(self, record: HelpRecord) -> None:
         target = self.states[record.docked_label - 1]
@@ -441,12 +449,29 @@ def _trace_record(
 def _coerce_placement(
     graph: PortLabeledGraph, placement
 ) -> tuple[int, ...]:
-    if isinstance(placement, InitialPlacement):
-        placement.validate(graph)
-        return placement.robot_positions
-    coerced = InitialPlacement(tuple(int(v) for v in placement))
-    coerced.validate(graph)
-    return coerced.robot_positions
+    if not isinstance(placement, InitialPlacement):
+        placement = InitialPlacement(tuple(int(v) for v in placement))
+    placement.validate(graph)
+    return placement.robot_positions
+
+
+def _start(
+    graph: PortLabeledGraph, placement, algorithm: Algorithm | str, sync: bool
+) -> tuple[Algorithm, WorldState, Callable]:
+    """The algorithm, a fresh world and the step function of one run."""
+    algorithm = Algorithm(algorithm)
+    if algorithm.is_sync != sync:
+        engine = "synchronous" if algorithm.is_sync else "asynchronous"
+        raise ValueError(f"{algorithm.value} requires the {engine} engine")
+    positions = _coerce_placement(graph, placement)
+    helping = algorithm.family == "helping"
+    if not helping:
+        step = independent_step
+    elif sync:
+        step = helping_sync_step
+    else:
+        step = helping_async_step
+    return algorithm, WorldState(graph, positions, helping), step
 
 
 def _build_report(
@@ -454,7 +479,7 @@ def _build_report(
     algorithm: Algorithm,
     rounds_elapsed: int | None,
     events_elapsed: int | None,
-    trace_path: str | None,
+    trace_sink: Callable[[dict], None] | None,
 ) -> RunReport:
     robots = tuple(
         RobotStats(
@@ -480,7 +505,7 @@ def _build_report(
         final_positions=tuple(world.positions),
         final_modes=tuple(m.value for m in world.modes),
         mutex_contentions=world.mutex_contentions,
-        trace_path=trace_path,
+        trace_path=getattr(trace_sink, "path", None),
     )
 
 
@@ -500,13 +525,7 @@ def run_sync(
     arrival ordering.  Stops early once every robot settled (the world is
     static afterwards).
     """
-    algorithm = Algorithm(algorithm)
-    if not algorithm.is_sync:
-        raise ValueError(f"{algorithm.value} requires the asynchronous engine")
-    positions = _coerce_placement(graph, placement)
-    helping = algorithm.family == "helping"
-    step = helping_sync_step if helping else independent_step
-    world = WorldState(graph, positions, helping)
+    algorithm, world, step = _start(graph, placement, algorithm, True)
     bound = sync_round_bound(graph)
 
     event_no = 0
@@ -516,38 +535,25 @@ def run_sync(
             break
         rounds_elapsed = rnd
 
-        groups: dict[int, list[int]] = {}
-        for lab in world.unsettled:
-            groups.setdefault(world.positions[lab - 1], []).append(lab)
         winners: dict[int, tuple[list[int], int]] = {}
-        for node, labs in groups.items():
-            if node in world.docked:
-                continue
-            winner = arbitrate_mutex(world.contenders_at(node), mutex_policy)
-            winners[node] = (labs, winner)
-            if len(labs) > 1:
-                world.mutex_contentions += 1
+        for lab in world.unsettled:
+            node = world.positions[lab - 1]
+            if node not in winners and node not in world.docked:
+                winners[node] = world.arbitrate(node, mutex_policy)
 
         results = []
-        for lab in list(world.unsettled):
+        for lab in world.unsettled:
             node = world.positions[lab - 1]
             view = world.local_view(lab)
             mutex = winners.get(node)
             before = world.states[lab - 1].mode
-            if helping:
-                state, action, effects = step(world.states[lab - 1], view, mutex[1] if mutex else None)
-            else:
-                state, action = step(world.states[lab - 1], view, mutex[1] if mutex else None)
-                effects = ()
+            state, action, effects = step(world.states[lab - 1], view, mutex[1] if mutex else None)
             results.append((lab, node, before, state, action, effects, mutex))
 
         moves: list[tuple[int, int]] = []
         for lab, node, before, state, action, effects, mutex in results:
-            world.apply_state(lab, state)
-            world.active_iterations[lab - 1] += 1
-            if isinstance(action, Dock):
-                world.dock(lab, node, rnd)
-            elif isinstance(action, Move):
+            world.apply_iteration(lab, node, state, action, rnd)
+            if isinstance(action, Move):
                 moves.append((lab, action.port))
         for lab, node, before, state, action, effects, mutex in results:
             for record in effects:
@@ -563,11 +569,8 @@ def run_sync(
                     )
                 )
                 event_no += 1
-        else:
-            event_no += len(results)
 
-    trace_path = getattr(trace_sink, "path", None)
-    return _build_report(world, algorithm, rounds_elapsed, None, trace_path)
+    return _build_report(world, algorithm, rounds_elapsed, None, trace_sink)
 
 
 def run_async(
@@ -589,45 +592,23 @@ def run_async(
     safety_factor * k * (4m - 2(n-1) + 1) is exceeded (which marks the run
     not dispersed: correct runs never reach it).
     """
-    algorithm = Algorithm(algorithm)
-    if algorithm.is_sync:
-        raise ValueError(f"{algorithm.value} requires the synchronous engine")
-    positions = _coerce_placement(graph, placement)
-    helping = algorithm.family == "helping"
-    step = helping_async_step if helping else independent_step
-    world = WorldState(graph, positions, helping)
+    algorithm, world, step = _start(graph, placement, algorithm, False)
     k = world.k
     cap = safety_factor * k * (sync_round_bound(graph) + 1)
     selector = _make_selector(scheduler_policy, k)
 
     event = 0
-    while not world.all_settled():
-        if event >= cap:
-            break
+    while not world.all_settled() and event < cap:
         lab = selector.select(world.unsettled)
         node = world.positions[lab - 1]
         view = world.local_view(lab)
-        mutex: tuple[list[int], int] | None = None
-        if view.docked is None:
-            contenders = world.contenders_at(node)
-            winner = arbitrate_mutex(contenders, mutex_policy)
-            mutex = (sorted(c.label for c in contenders), winner)
-            if len(contenders) > 1:
-                world.mutex_contentions += 1
-
+        mutex = None if view.docked is not None else world.arbitrate(node, mutex_policy)
         before = world.states[lab - 1].mode
-        if helping:
-            state, action, effects = step(world.states[lab - 1], view, mutex[1] if mutex else None)
-        else:
-            state, action = step(world.states[lab - 1], view, mutex[1] if mutex else None)
-            effects = ()
+        state, action, effects = step(world.states[lab - 1], view, mutex[1] if mutex else None)
 
         if mutex is not None and mutex[1] != lab:
-            world.settle_in_absentia(mutex[1], node, event)
-        world.apply_state(lab, state)
-        world.active_iterations[lab - 1] += 1
-        if isinstance(action, Dock):
-            world.dock(lab, node, event)
+            world.settle_in_absentia(mutex[1], node, event, step)
+        world.apply_iteration(lab, node, state, action, event)
         for record in effects:
             world.apply_help_record(record)
         if isinstance(action, Move):
@@ -642,8 +623,7 @@ def run_async(
             )
         event += 1
 
-    trace_path = getattr(trace_sink, "path", None)
-    return _build_report(world, algorithm, None, event, trace_path)
+    return _build_report(world, algorithm, None, event, trace_sink)
 
 
 def run(

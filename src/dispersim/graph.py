@@ -9,6 +9,7 @@ nothing in the robot-visible API depends on them.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ __all__ = [
     "InitialPlacement",
     "build_graph",
     "generate",
-    "diameter",
     "relabel_nodes",
     "graph_to_text",
     "graph_from_text",
@@ -238,15 +238,27 @@ def _grid_dimensions(n: int) -> tuple[int, int]:
 
 
 def _gnm_edges(n: int, m: int, rng: random.Random, retries: int) -> list[tuple[int, int]]:
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # sample indices into the lexicographic list of all pairs without
+    # building it: random.sample picks the same indices from a range as from
+    # a list of the same length
+    total = n * (n - 1) // 2
     for _ in range(retries):
-        chosen = rng.sample(pairs, m)
+        chosen = [_pair_at(n, i) for i in rng.sample(range(total), m)]
         if _edges_connected(n, chosen):
             return chosen
     raise GraphError(
         f"could not sample a connected graph with n={n}, m={m} "
         f"within {retries} retries"
     )
+
+
+def _pair_at(n: int, i: int) -> tuple[int, int]:
+    """Pair i, (u, v) with u < v, of the lexicographic list of all pairs of
+    n nodes."""
+    # r places before the end, in the row of u = n-2-t, which holds t+1 pairs
+    r = n * (n - 1) // 2 - 1 - i
+    t = (math.isqrt(8 * r + 1) - 1) // 2
+    return n - 2 - t, n - 1 - r + t * (t + 1) // 2
 
 
 def _edges_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
@@ -318,23 +330,6 @@ def generate(
     if m is not None and family != "gnm" and m != len(edges):
         raise GraphError(f"family {family!r} with n={n} has m={len(edges)}, not {m}")
     return build_graph(edges, ports=ports, seed=seed, node_count=n)
-
-
-def diameter(g: PortLabeledGraph) -> int:
-    """Exact diameter via all-pairs BFS (0 for a single-node graph)."""
-    best = 0
-    for start in range(g.node_count):
-        dist = [-1] * g.node_count
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u, _ in g.ports[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        best = max(best, max(dist))
-    return best
 
 
 def relabel_nodes(g: PortLabeledGraph, permutation: Sequence[int]) -> PortLabeledGraph:

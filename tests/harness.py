@@ -93,12 +93,9 @@ def traversal_without_docking(
             next_phantom += 1
             view = LocalView(degree, None, (), pending)
 
-        if helping:
-            state, action, effects = step(state, view, winner)
-            for record in effects:
-                slots[phantom_node[record.docked_label]] = (True, record.entry_port)
-        else:
-            state, action = step(state, view, winner)
+        state, action, effects = step(state, view, winner)
+        for record in effects:
+            slots[phantom_node[record.docked_label]] = (True, record.entry_port)
         assert isinstance(action, Move), f"robot emitted {action!r} while docking is disabled"
         dest, entry = graph.traverse(pos, action.port)
         seq.append((pos, dest))

@@ -44,7 +44,7 @@ def test_lone_helping_robot_docks_immediately(step):
 
 def test_lone_independent_robot_docks_immediately():
     state = initial_independent_state(1, 1)
-    new, action = independent_step(state, view(3), mutex_winner=1)
+    new, action, _ = independent_step(state, view(3), mutex_winner=1)
     assert isinstance(action, Dock)
     assert new.mode is Mode.SETTLED
     assert new.stack == ()
@@ -109,7 +109,7 @@ def test_async_loser_records_first_visit_at_fresh_winner():
 
 def test_independent_loser_marks_winner_and_pushes():
     state = replace(initial_independent_state(3, 3), round=2)
-    new, action = independent_step(state, view(2, entry=1), mutex_winner=2)
+    new, action, _ = independent_step(state, view(2, entry=1), mutex_winner=2)
     assert new.visited[2] is True
     assert new.stack == (1,)
     assert action == Move(0)
@@ -121,7 +121,7 @@ def test_independent_loser_marks_winner_and_pushes():
 
 def test_independent_first_visit_pushes_and_advances():
     state = replace(initial_independent_state(2, 3), round=3)
-    new, action = independent_step(
+    new, action, _ = independent_step(
         state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
     )
     assert new.visited[1] is True
@@ -132,7 +132,7 @@ def test_independent_first_visit_pushes_and_advances():
 
 def test_independent_leaf_pushes_then_pops():
     state = replace(initial_independent_state(2, 3), round=3)
-    new, action = independent_step(
+    new, action, _ = independent_step(
         state, view(1, DockedHandle(label=1), entry=0), mutex_winner=None
     )
     assert new.stack == ()  # pushed 0, advanced back onto it, popped
@@ -143,7 +143,7 @@ def test_independent_leaf_pushes_then_pops():
 def test_independent_revisit_bounces_back():
     state = replace(initial_independent_state(2, 3), round=3)
     state = replace(state, visited=(False, True, False, False))
-    new, action = independent_step(
+    new, action, _ = independent_step(
         state, view(3, DockedHandle(label=1), entry=2), mutex_winner=None
     )
     assert new.mode is Mode.BACKTRACK
@@ -155,7 +155,7 @@ def test_independent_backtrack_resumes_exploring_when_port_differs():
     state = replace(
         initial_independent_state(2, 3), round=3, mode=Mode.BACKTRACK, stack=(-1,)
     )
-    new, action = independent_step(
+    new, action, _ = independent_step(
         state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
     )
     assert new.mode is Mode.EXPLORE  # advanced port 1 differs from stack top -1
@@ -167,7 +167,7 @@ def test_independent_backtrack_pops_on_parent_port():
     state = replace(
         initial_independent_state(2, 3), round=3, mode=Mode.BACKTRACK, stack=(-1, 1)
     )
-    new, action = independent_step(
+    new, action, _ = independent_step(
         state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
     )
     assert new.mode is Mode.BACKTRACK

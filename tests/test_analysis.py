@@ -83,6 +83,14 @@ def test_dfs_oracle_length_is_4m_minus_2n_plus_2():
         assert len(seq) == 4 * g.edge_count - 2 * g.node_count + 2
 
 
+def test_dfs_oracle_walks_a_2000_node_line():
+    g = generate("line", 2000)
+    seq = single_robot_dfs_oracle(g, 0)
+    assert len(seq) == 4 * g.edge_count - 2 * g.node_count + 2
+    out = [(v, v + 1) for v in range(1999)]
+    assert seq == out + [(u, v) for v, u in reversed(out)]
+
+
 def test_dfs_oracle_ignores_node_identity():
     rng = random.Random(3)
     g, _ = random_connected_instance(rng, n_max=10)

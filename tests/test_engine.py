@@ -269,6 +269,32 @@ def test_world_rejects_leaving_settled_mode():
         world.apply_state(1, initial_helping_state(1, 2))
 
 
+@pytest.mark.parametrize("helping", [True, False])
+def test_settle_in_absentia_refreshes_entry_port_like_own_iteration(helping):
+    from dataclasses import replace
+
+    from dispersim.agents import Mode
+    from dispersim.algorithms import helping_async_step, independent_step
+
+    g = generate("line", 3)
+    world = WorldState(g, [0, 0], helping=helping)
+    # robot 1 has acted once and just arrived at node 1 through port 0
+    world.apply_state(1, replace(world.states[0], round=1, port_entered=5))
+    world.move_robot(1, 0)
+    step = helping_async_step if helping else independent_step
+    world.settle_in_absentia(1, 1, 7, step)
+    settled = world.states[0]
+    assert settled.mode is Mode.SETTLED
+    assert settled.round == 2
+    assert settled.port_entered == 0
+    if helping:
+        assert settled.parent_ptr == 0 and settled.seen is False
+    assert world.docked == {1: 1}
+    assert world.settle_time[0] == 7
+    assert world.active_iterations[0] == 1
+    assert world.unsettled == [2]
+
+
 def test_safety_cap_reports_undispersed_run():
     g = generate("ring", 4)
     report = run_async(

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +9,10 @@ from hypothesis import strategies as st
 from dispersim.graph import (
     GraphError,
     InitialPlacement,
+    _edges_connected,
+    _gnm_edges,
+    _pair_at,
     build_graph,
-    diameter,
     generate,
     graph_from_text,
     graph_to_text,
@@ -96,27 +97,34 @@ def test_random_tree_and_grid_are_connected():
     g.validate()
 
 
-def test_diameter_examples():
-    assert diameter(generate("line", 5)) == 4
-    assert diameter(generate("complete", 6)) == 1
+def _reference_gnm_edges(n, m, rng, retries):
+    """The pair-list sampler _gnm_edges replaced: builds all n(n-1)/2 pairs."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for _ in range(retries):
+        chosen = rng.sample(pairs, m)
+        if _edges_connected(n, chosen):
+            return chosen
+    raise GraphError("no connected sample")
 
 
-def _bfs_eccentricity(g, start):
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return max(dist.values())
+def test_pair_index_decodes_the_lexicographic_pair_list():
+    for n in (2, 3, 4, 7, 31):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert [_pair_at(n, i) for i in range(len(pairs))] == pairs
 
 
-def test_diameter_matches_bfs_oracle():
-    g = generate("gnm", 12, 18, seed=1)
-    expected = max(_bfs_eccentricity(g, v) for v in range(g.node_count))
-    assert diameter(g) == expected
+def test_gnm_edges_match_the_pair_list_sampler():
+    rng = random.Random(5)
+    # n = 2, near-trees, complete graphs, then random sizes dense enough
+    # for rejection sampling to find a connected edge set
+    cases = [(2, 1, 0), (3, 2, 1), (4, 3, 2), (6, 15, 3), (12, 66, 4)]
+    for _ in range(60):
+        n = rng.randint(2, 30)
+        total = n * (n - 1) // 2
+        cases.append((n, rng.randint(min(2 * n, total), total), rng.randrange(1 << 30)))
+    for n, m, seed in cases:
+        expected = _reference_gnm_edges(n, m, random.Random(seed), 1000)
+        assert _gnm_edges(n, m, random.Random(seed), 1000) == expected
 
 
 @pytest.mark.parametrize(
