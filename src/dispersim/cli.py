@@ -12,8 +12,10 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .analysis import RunReport, check_memory_bound, check_time_bound
 from .engine import (
@@ -37,26 +39,22 @@ from .graph import (
     graph_to_text,
 )
 
-__all__ = ["ExperimentConfig", "run_experiment", "replay", "trace_header", "main"]
+__all__ = ["run_experiment", "replay", "trace_header", "main"]
 
 GRAPH_CHOICES = ("line", "ring", "complete", "tree", "grid", "gnm")
-SCHEDULER_CHOICES = ("round-robin", "random", "adversarial")
-MUTEX_CHOICES = ("lowest-label", "earliest-arrival")
 PLACEMENT_CHOICES = ("colocated", "random", "distinct")
 
+# `--scheduler` names and trace-header kinds of the scheduler policies; a
+# header holds the kind plus the policy's fields, in field order
+_SCHEDULERS = {
+    "round-robin": RoundRobin,
+    "random": SeededRandom,
+    "adversarial": AdversarialStalling,
+}
+
 CSV_COLUMNS = (
-    "run_id",
-    "algorithm",
-    "n",
-    "m",
-    "k",
-    "delta",
-    "seed",
-    "dispersed",
-    "rounds_or_events",
-    "max_moves",
-    "max_memory_bits",
-    "max_stack_depth",
+    "run_id", "algorithm", "n", "m", "k", "delta", "seed", "dispersed",
+    "rounds_or_events", "max_moves", "max_memory_bits", "max_stack_depth",
     "mutex_contentions",
 )
 
@@ -68,108 +66,71 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit status 2)."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    algorithm: Algorithm
-    graph_family: str
-    n: int
-    m: int | None
-    k: int
-    placement: str
-    placement_node: int
-    seed: int
-    scheduler: str | None
-    mutex: MutexPolicy
-    reps: int
-    out: Path | None
-    trace_dir: Path | None
-    fmt: str
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"--n must be at least 1, got {self.n}")
-        if not 1 <= self.k <= self.n:
-            raise ConfigError(f"--k must satisfy 1 <= k <= n; got k={self.k}, n={self.n}")
-        if self.reps < 1:
-            raise ConfigError(f"--reps must be at least 1, got {self.reps}")
-        if self.graph_family == "gnm" and self.m is None:
-            raise ConfigError("--graph gnm requires --m")
-        if self.graph_family != "gnm" and self.m is not None:
-            raise ConfigError("--m is only meaningful with --graph gnm")
-        if self.algorithm.is_sync and self.scheduler is not None:
-            raise ConfigError(
-                f"--scheduler applies to asynchronous algorithms, not {self.algorithm.value}"
-            )
-        if self.placement == "colocated" and not 0 <= self.placement_node < self.n:
-            raise ConfigError(
-                f"colocated placement node {self.placement_node} outside 0..{self.n - 1}"
-            )
+class _Divergence(Exception):
+    """The first event at which a replay differs from its trace."""
 
 
-def _make_placement(config: ExperimentConfig, graph: PortLabeledGraph, rep_seed: int) -> InitialPlacement:
-    if config.placement == "colocated":
-        return InitialPlacement((config.placement_node,) * config.k)
+def _parse_placement(text: str) -> tuple[str, int]:
+    """`--placement` as (mode, colocation node)."""
+    mode, colon, suffix = text.partition(":")
+    if mode not in PLACEMENT_CHOICES or (colon and mode != "colocated"):
+        raise ConfigError(f"unknown placement {text!r}")
+    try:
+        return mode, int(suffix) if suffix else 0
+    except ValueError:
+        raise ConfigError(f"bad colocated node {suffix!r}") from None
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Raise ConfigError for an invalid `run` command line."""
+    mode, node = _parse_placement(args.placement)
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    if not 1 <= args.k <= args.n:
+        raise ConfigError(f"--k must satisfy 1 <= k <= n; got k={args.k}, n={args.n}")
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be at least 1, got {args.reps}")
+    if args.graph == "gnm" and args.m is None:
+        raise ConfigError("--graph gnm requires --m")
+    if args.graph != "gnm" and args.m is not None:
+        raise ConfigError("--m is only meaningful with --graph gnm")
+    if Algorithm(args.algorithm).is_sync and args.scheduler is not None:
+        raise ConfigError(
+            f"--scheduler applies to asynchronous algorithms, not {args.algorithm}"
+        )
+    if mode == "colocated" and not 0 <= node < args.n:
+        raise ConfigError(f"colocated placement node {node} outside 0..{args.n - 1}")
+
+
+def _make_placement(
+    args: argparse.Namespace, graph: PortLabeledGraph, rep_seed: int
+) -> InitialPlacement:
+    mode, node = _parse_placement(args.placement)
+    if mode == "colocated":
+        return InitialPlacement((node,) * args.k)
     rng = random.Random(f"{rep_seed}/placement")
-    if config.placement == "random":
-        return InitialPlacement(
-            tuple(rng.randrange(graph.node_count) for _ in range(config.k))
-        )
-    return InitialPlacement(tuple(rng.sample(range(graph.node_count), config.k)))
+    if mode == "random":
+        return InitialPlacement(tuple(rng.randrange(graph.node_count) for _ in range(args.k)))
+    return InitialPlacement(tuple(rng.sample(range(graph.node_count), args.k)))
 
 
-def _make_scheduler(config: ExperimentConfig, rep_seed: int) -> SchedulerPolicy | None:
-    if config.algorithm.is_sync:
+def _make_scheduler(
+    algorithm: Algorithm, name: str | None, rep_seed: int
+) -> SchedulerPolicy | None:
+    if algorithm.is_sync:
         return None
-    name = config.scheduler or "round-robin"
-    if name == "round-robin":
-        return RoundRobin()
-    if name == "random":
-        return SeededRandom(seed=rep_seed)
-    return AdversarialStalling()
-
-
-def _scheduler_dict(policy: SchedulerPolicy | None) -> dict | None:
-    if policy is None:
-        return None
-    if isinstance(policy, RoundRobin):
-        return {"kind": "round-robin"}
-    if isinstance(policy, SeededRandom):
-        return {"kind": "random", "seed": policy.seed, "fairness_bound": policy.fairness_bound}
-    return {
-        "kind": "adversarial",
-        "weights": list(policy.weights) if policy.weights is not None else None,
-        "fairness_bound": policy.fairness_bound,
-    }
-
-
-def _scheduler_from_dict(data: dict | None) -> SchedulerPolicy | None:
-    if data is None:
-        return None
-    kind = data.get("kind")
-    if kind == "round-robin":
-        return RoundRobin()
-    if kind == "random":
-        return SeededRandom(seed=data["seed"], fairness_bound=data.get("fairness_bound"))
-    if kind == "adversarial":
-        weights = data.get("weights")
-        return AdversarialStalling(
-            weights=tuple(weights) if weights is not None else None,
-            fairness_bound=data.get("fairness_bound"),
-        )
-    raise ConfigError(f"unknown scheduler kind {kind!r}")
+    policy = _SCHEDULERS[name or "round-robin"]
+    return policy(seed=rep_seed) if policy is SeededRandom else policy()
 
 
 def _bounds_ok(report: RunReport, graph: PortLabeledGraph, k: int) -> bool:
-    if not report.dispersed:
-        return False
-    if not check_time_bound(report, graph):
-        return False
-    if not check_memory_bound(report, k, graph.max_degree, graph.edge_count):
-        return False
     depth = report.max_stack_depth
-    if depth is not None and depth > k - 1:
-        return False
-    return True
+    return (
+        report.dispersed
+        and check_time_bound(report, graph)
+        and check_memory_bound(report, k, graph.max_degree, graph.edge_count)
+        and (depth is None or depth <= k - 1)
+    )
 
 
 def trace_header(
@@ -183,6 +144,9 @@ def trace_header(
     safety_factor: int = DEFAULT_SAFETY_FACTOR,
 ) -> dict:
     """First record of a trace file: everything replay needs to re-execute."""
+    if scheduler is not None:
+        kind = next(name for name, policy in _SCHEDULERS.items() if isinstance(scheduler, policy))
+        scheduler = {"kind": kind, **asdict(scheduler)}
     return {
         "type": "config",
         "run_id": run_id,
@@ -190,98 +154,119 @@ def trace_header(
         "graph": graph_to_text(graph),
         "placement": list(placement.robot_positions),
         "mutex": mutex.value,
-        "scheduler": _scheduler_dict(scheduler),
+        "scheduler": scheduler,
         "safety_factor": safety_factor,
         "seed": seed,
     }
 
 
-def run_experiment(config: ExperimentConfig) -> int:
-    """Execute all repetitions; returns the process exit status.
+def _conforms(value, kind) -> bool:
+    """Whether a JSON value fits a field type built from int, str, dict,
+    None, unions and tuple[X, ...] (a JSON list)."""
+    if isinstance(kind, UnionType):
+        return any(_conforms(value, k) for k in get_args(kind))
+    if get_origin(kind) is tuple:
+        return isinstance(value, list) and all(_conforms(v, get_args(kind)[0]) for v in value)
+    return type(value) is kind
+
+
+def _field(record: dict, name: str, kind, default=None):
+    """``record[name]`` checked against a field type; lists become tuples."""
+    value = record.get(name, default)
+    if not _conforms(value, kind):
+        raise ConfigError(f"bad {name!r}: {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _run_arguments(line: str) -> dict:
+    """The arguments of `run` that a trace's config record describes."""
+    header = json.loads(line)
+    if not isinstance(header, dict) or header.get("type") != "config":
+        raise ConfigError("first line is not a config record")
+    scheduler = _field(header, "scheduler", dict | None)
+    if scheduler is not None:
+        kind = _field(scheduler, "kind", str)
+        if kind not in _SCHEDULERS:
+            raise ConfigError(f"unknown scheduler kind {kind!r}")
+        policy = _SCHEDULERS[kind]
+        types = get_type_hints(policy)
+        scheduler = policy(
+            **{f.name: _field(scheduler, f.name, types[f.name], f.default) for f in fields(policy)}
+        )
+    return {
+        "graph": graph_from_text(_field(header, "graph", str)),
+        "placement": InitialPlacement(_field(header, "placement", tuple[int, ...])),
+        "algorithm": Algorithm(_field(header, "algorithm", str)),
+        "mutex_policy": MutexPolicy(_field(header, "mutex", str)),
+        "scheduler_policy": scheduler,
+        "safety_factor": _field(header, "safety_factor", int, DEFAULT_SAFETY_FACTOR),
+    }
+
+
+def run_experiment(args: argparse.Namespace) -> int:
+    """Execute every repetition of a parsed `run` command line; returns the
+    process exit status.
 
     0: every run dispersed and passed every bound check.
     1: some run failed a check (a pointer to it goes to stderr).
     2: the configuration is invalid.
     """
     try:
-        config.validate()
+        _check_args(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    family = _FAMILY[config.graph_family]
-    rows = []
+    algorithm = Algorithm(args.algorithm)
+    mutex = MutexPolicy(args.mutex)
+    reports: list[RunReport] = []
     failures: list[tuple[int, str | None]] = []
-    summary = {
-        "runs": 0,
-        "dispersed_runs": 0,
-        "dispersion_rate": 0.0,
-        "max_rounds_or_events": 0,
-        "max_moves": 0,
-        "max_memory_bits": 0,
-        "max_stack_depth": None,
-        "mutex_contentions": 0,
-        "bounds_ok": True,
-    }
-    if config.trace_dir is not None:
-        config.trace_dir.mkdir(parents=True, exist_ok=True)
+    if args.trace is not None:
+        args.trace.mkdir(parents=True, exist_ok=True)
 
-    for rep in range(config.reps):
-        rep_seed = config.seed + rep
+    for rep in range(args.reps):
+        rep_seed = args.seed + rep
         try:
-            graph = generate(family, config.n, config.m, seed=rep_seed)
-            placement = _make_placement(config, graph, rep_seed)
+            graph = generate(_FAMILY[args.graph], args.n, args.m, seed=rep_seed)
         except GraphError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        scheduler = _make_scheduler(config, rep_seed)
+        placement = _make_placement(args, graph, rep_seed)
+        scheduler = _make_scheduler(algorithm, args.scheduler, rep_seed)
 
         sink = None
-        if config.trace_dir is not None:
-            sink = JsonlTraceWriter(config.trace_dir / f"run_{rep:03d}.jsonl")
-            sink(
-                trace_header(
-                    rep, rep_seed, config.algorithm, graph, placement,
-                    config.mutex, scheduler,
-                )
-            )
+        if args.trace is not None:
+            sink = JsonlTraceWriter(args.trace / f"run_{rep:03d}.jsonl")
+            sink(trace_header(rep, rep_seed, algorithm, graph, placement, mutex, scheduler))
         try:
             report = run(
-                graph,
-                placement,
-                config.algorithm,
-                scheduler_policy=scheduler,
-                mutex_policy=config.mutex,
-                trace_sink=sink,
+                graph, placement, algorithm,
+                scheduler_policy=scheduler, mutex_policy=mutex, trace_sink=sink,
             )
         finally:
             if sink is not None:
                 sink.close()
-
-        ok = _bounds_ok(report, graph, config.k)
-        if not ok:
+        if not _bounds_ok(report, graph, args.k):
             failures.append((rep, report.trace_path))
-        rows.append((rep, rep_seed, report))
+        reports.append(report)
 
-        summary["runs"] += 1
-        summary["dispersed_runs"] += 1 if report.dispersed else 0
-        summary["max_rounds_or_events"] = max(summary["max_rounds_or_events"], report.duration)
-        summary["max_moves"] = max(summary["max_moves"], report.max_moves)
-        summary["max_memory_bits"] = max(summary["max_memory_bits"], report.max_memory_bits)
-        if report.max_stack_depth is not None:
-            prev = summary["max_stack_depth"]
-            summary["max_stack_depth"] = (
-                report.max_stack_depth if prev is None else max(prev, report.max_stack_depth)
-            )
-        summary["mutex_contentions"] += report.mutex_contentions
-        summary["bounds_ok"] = summary["bounds_ok"] and ok
-
-    summary["dispersion_rate"] = summary["dispersed_runs"] / summary["runs"]
-
-    document = _render(config, rows, summary)
-    if config.out is not None:
-        config.out.parent.mkdir(parents=True, exist_ok=True)
-        config.out.write_text(document, encoding="utf-8", newline="\n")
+    dispersed = sum(r.dispersed for r in reports)
+    depths = [r.max_stack_depth for r in reports if r.max_stack_depth is not None]
+    summary = {
+        "runs": len(reports),
+        "dispersed_runs": dispersed,
+        "dispersion_rate": dispersed / len(reports),
+        "max_rounds_or_events": max(r.duration for r in reports),
+        "max_moves": max(r.max_moves for r in reports),
+        "max_memory_bits": max(r.max_memory_bits for r in reports),
+        "max_stack_depth": max(depths, default=None),
+        "mutex_contentions": sum(r.mutex_contentions for r in reports),
+        "bounds_ok": not failures,
+    }
+    document = _render(args, reports, summary)
+    if args.out is not None:
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        args.out.write_text(document, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(document)
     print(json.dumps({"summary": summary}, separators=(",", ":")), file=sys.stderr)
@@ -289,102 +274,86 @@ def run_experiment(config: ExperimentConfig) -> int:
     if failures:
         rep, trace = failures[0]
         where = f" (trace: {trace})" if trace else ""
-        print(
-            f"error: run {rep} violated dispersion or a bound check{where}",
-            file=sys.stderr,
-        )
+        print(f"error: run {rep} violated dispersion or a bound check{where}", file=sys.stderr)
         return 1
     return 0
 
 
-def _render(config: ExperimentConfig, rows, summary) -> str:
-    if config.fmt == "csv":
+def _render(args: argparse.Namespace, reports: list[RunReport], summary: dict) -> str:
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for rep, rep_seed, report in rows:
+        for rep, report in enumerate(reports):
             depth = report.max_stack_depth
-            writer.writerow(
-                [
-                    rep,
-                    report.algorithm,
-                    report.node_count,
-                    report.edge_count,
-                    report.robot_count,
-                    report.max_degree,
-                    rep_seed,
-                    "true" if report.dispersed else "false",
-                    report.duration,
-                    report.max_moves,
-                    report.max_memory_bits,
-                    "" if depth is None else depth,
-                    report.mutex_contentions,
-                ]
-            )
+            writer.writerow((
+                rep, report.algorithm, report.node_count, report.edge_count,
+                report.robot_count, report.max_degree, args.seed + rep,
+                "true" if report.dispersed else "false", report.duration,
+                report.max_moves, report.max_memory_bits,
+                "" if depth is None else depth, report.mutex_contentions,
+            ))
         return buf.getvalue()
     doc = {
         "summary": summary,
         "runs": [
-            {"run_id": rep, "seed": rep_seed, **report.to_dict()}
-            for rep, rep_seed, report in rows
+            {"run_id": rep, "seed": args.seed + rep, **report.to_dict()}
+            for rep, report in enumerate(reports)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _compare(event: int, line: str, replayed: str | None) -> None:
+    """Raise _Divergence unless a trace line ('' past the end of the file)
+    holds the replayed record (None past the end of the run)."""
+    recorded = line.rstrip("\n") if line else None
+    if recorded != replayed:
+        raise _Divergence(
+            f"divergence at event {event}:\n"
+            f"  recorded: {'<end of trace>' if recorded is None else recorded}\n"
+            f"  replayed: {'<end of run>' if replayed is None else replayed}"
+        )
+
+
 def replay(trace_path: str | Path) -> int:
-    """Re-execute a recorded run and assert event-by-event equality.
+    """Re-execute a recorded run, comparing each event with the trace as the
+    run produces it, and stop at the first difference.
 
     0: identical; 1: divergence (first differing event reported);
     2: malformed trace.
     """
-    path = Path(trace_path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        trace = open(trace_path, encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 2
-    if not lines:
-        print("error: empty trace file", file=sys.stderr)
-        return 2
-    try:
-        header = json.loads(lines[0])
-        if header.get("type") != "config":
-            raise ValueError("first line is not a config record")
-        graph = graph_from_text(header["graph"])
-        placement = InitialPlacement(tuple(header["placement"]))
-        algorithm = Algorithm(header["algorithm"])
-        mutex = MutexPolicy(header["mutex"])
-        scheduler = _scheduler_from_dict(header.get("scheduler"))
-        safety = header.get("safety_factor", DEFAULT_SAFETY_FACTOR)
-    except (KeyError, ValueError, GraphError, json.JSONDecodeError) as exc:
-        print(f"error: malformed trace: {exc}", file=sys.stderr)
-        return 2
+    with trace:
+        events = 0
 
-    recorded = lines[1:]
-    replayed: list[str] = []
-    run(
-        graph,
-        placement,
-        algorithm,
-        scheduler_policy=scheduler,
-        mutex_policy=mutex,
-        trace_sink=lambda rec: replayed.append(trace_record_line(rec)),
-        safety_factor=safety,
-    )
-    for idx, (old, new) in enumerate(zip(recorded, replayed)):
-        if old != new:
-            print(f"divergence at event {idx}:", file=sys.stderr)
-            print(f"  recorded: {old}", file=sys.stderr)
-            print(f"  replayed: {new}", file=sys.stderr)
+        def compare(record: dict) -> None:
+            nonlocal events
+            _compare(events, trace.readline(), trace_record_line(record))
+            events += 1
+
+        try:
+            header = trace.readline()
+            if not header:
+                print("error: empty trace file", file=sys.stderr)
+                return 2
+            # the engine rejects a configuration it cannot run (placement off
+            # the graph, a scheduler on a synchronous algorithm, weights not
+            # one per robot, an unsatisfiable fairness bound) with a
+            # ValueError before its first event
+            run(**_run_arguments(header), trace_sink=compare)
+            _compare(events, trace.readline(), None)
+        except _Divergence as exc:
+            print(exc, file=sys.stderr)
             return 1
-    if len(recorded) != len(replayed):
-        print(
-            f"divergence: {len(recorded)} recorded vs {len(replayed)} replayed events",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"replay OK: {len(replayed)} events identical")
+        except ValueError as exc:
+            print(f"error: malformed trace: {exc}", file=sys.stderr)
+            return 2
+    print(f"replay OK: {events} events identical")
     return 0
 
 
@@ -397,11 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="run a batch of seeded experiments")
-    runp.add_argument(
-        "--algorithm",
-        required=True,
-        choices=[a.value for a in Algorithm],
-    )
+    runp.add_argument("--algorithm", required=True, choices=[a.value for a in Algorithm])
     runp.add_argument("--graph", required=True, choices=GRAPH_CHOICES)
     runp.add_argument("--n", type=int, required=True, help="node count")
     runp.add_argument("--m", type=int, default=None, help="edge count (gnm only)")
@@ -415,10 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument(
         "--scheduler",
         default=None,
-        choices=SCHEDULER_CHOICES,
+        choices=tuple(_SCHEDULERS),
         help="asynchronous algorithms only (default round-robin)",
     )
-    runp.add_argument("--mutex", default="lowest-label", choices=MUTEX_CHOICES)
+    runp.add_argument("--mutex", default="lowest-label", choices=[p.value for p in MutexPolicy])
     runp.add_argument("--reps", type=int, default=1)
     runp.add_argument("--out", type=Path, default=None, help="report file (default stdout)")
     runp.add_argument("--trace", type=Path, default=None, help="directory for JSONL traces")
@@ -429,50 +394,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    placement = args.placement
-    node = 0
-    if placement.startswith("colocated"):
-        mode, _, suffix = placement.partition(":")
-        if mode != "colocated":
-            raise ConfigError(f"unknown placement {placement!r}")
-        if suffix:
-            try:
-                node = int(suffix)
-            except ValueError:
-                raise ConfigError(f"bad colocated node {suffix!r}") from None
-        placement = "colocated"
-    elif placement not in PLACEMENT_CHOICES:
-        raise ConfigError(f"unknown placement {args.placement!r}")
-    return ExperimentConfig(
-        algorithm=Algorithm(args.algorithm),
-        graph_family=args.graph,
-        n=args.n,
-        m=args.m,
-        k=args.k,
-        placement=placement,
-        placement_node=node,
-        seed=args.seed,
-        scheduler=args.scheduler,
-        mutex=MutexPolicy(args.mutex),
-        reps=args.reps,
-        out=args.out,
-        trace_dir=args.trace,
-        fmt=args.format,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "replay":
         return replay(args.trace)
-    try:
-        config = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run_experiment(config)
+    return run_experiment(args)
 
 
 if __name__ == "__main__":

@@ -67,9 +67,6 @@ class PortLabeledGraph:
             return 0
         return max(len(t) for t in self.ports)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u, _ in self.ports[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list as (u, v) pairs with u < v, sorted."""
         out = set()
@@ -237,18 +234,18 @@ def _grid_dimensions(n: int) -> tuple[int, int]:
     return rows, n // rows
 
 
-def _gnm_edges(n: int, m: int, rng: random.Random, retries: int) -> list[tuple[int, int]]:
+def _gnm_edges(n: int, m: int, rng: random.Random) -> list[tuple[int, int]]:
     # sample indices into the lexicographic list of all pairs without
     # building it: random.sample picks the same indices from a range as from
     # a list of the same length
     total = n * (n - 1) // 2
-    for _ in range(retries):
+    for _ in range(DEFAULT_GNM_RETRIES):
         chosen = [_pair_at(n, i) for i in rng.sample(range(total), m)]
         if _edges_connected(n, chosen):
             return chosen
     raise GraphError(
         f"could not sample a connected graph with n={n}, m={m} "
-        f"within {retries} retries"
+        f"within {DEFAULT_GNM_RETRIES} retries"
     )
 
 
@@ -285,7 +282,6 @@ def generate(
     m: int | None = None,
     seed: int | None = None,
     ports: str = "canonical",
-    gnm_retries: int = DEFAULT_GNM_RETRIES,
 ) -> PortLabeledGraph:
     """Generate a connected graph of a named family, deterministic per seed.
 
@@ -324,7 +320,7 @@ def generate(
             raise GraphError(
                 f"gnm needs n-1 <= m <= n(n-1)/2; got n={n}, m={m}"
             )
-        edges = _gnm_edges(n, m, rng, gnm_retries)
+        edges = _gnm_edges(n, m, rng)
     else:
         raise GraphError(f"unknown graph family {family!r}")
     if m is not None and family != "gnm" and m != len(edges):

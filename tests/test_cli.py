@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from dispersim import cli
 
 
@@ -190,3 +192,67 @@ def test_replay_rejects_malformed_trace(tmp_path, capsys):
     path.write_text("")
     assert run_cli("replay", str(path)) == 2
     assert run_cli("replay", str(tmp_path / "missing.jsonl")) == 2
+
+
+def _traced_run(tmp_path, *args):
+    trace = tmp_path / "traces"
+    status = run_cli(*args, "--trace", str(trace), "--out", str(tmp_path / "r.json"))
+    assert status == 0
+    return trace / "run_000.jsonl"
+
+
+ADVERSARIAL_RUN = (
+    "run", "--algorithm", "independent-async", "--graph", "ring",
+    "--n", "6", "--k", "3", "--seed", "4", "--scheduler", "adversarial",
+)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda h: {**h, "placement": [0, 0, 99]}, id="placement-off-graph"),
+        pytest.param(
+            lambda h: {**h, "scheduler": {**h["scheduler"], "weights": 5}},
+            id="weights-not-a-list",
+        ),
+        pytest.param(
+            lambda h: {**h, "scheduler": {**h["scheduler"], "weights": [1, 2]}},
+            id="weights-not-one-per-robot",
+        ),
+        pytest.param(lambda h: {**h, "safety_factor": "x"}, id="safety-factor-not-an-int"),
+        pytest.param(
+            lambda h: {**h, "algorithm": "independent-sync"}, id="scheduler-on-sync-algorithm"
+        ),
+        pytest.param(lambda h: [1, 2], id="not-a-record"),
+    ],
+)
+def test_replay_rejects_malformed_header(tmp_path, capsys, edit):
+    path = _traced_run(tmp_path, *ADVERSARIAL_RUN)
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0])["scheduler"]["kind"] == "adversarial"
+    lines[0] = json.dumps(edit(json.loads(lines[0])))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("replay", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: malformed trace: ")
+
+
+@pytest.mark.parametrize("algorithm", ["helping-sync", "independent-async"])
+@pytest.mark.parametrize("edit", ["drop-last-event", "repeat-last-event"])
+def test_replay_detects_a_trace_of_the_wrong_length(tmp_path, capsys, algorithm, edit):
+    path = _traced_run(
+        tmp_path, "run", "--algorithm", algorithm, "--graph", "ring",
+        "--n", "6", "--k", "4", "--seed", "9",
+    )
+    lines = path.read_text().splitlines()
+    events = len(lines) - 1
+    if edit == "drop-last-event":
+        lines, expected = lines[:-1], (events - 1, "recorded: <end of trace>")
+    else:
+        lines, expected = lines + lines[-1:], (events, "replayed: <end of run>")
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("replay", str(path)) == 1
+    err = capsys.readouterr().err
+    assert f"divergence at event {expected[0]}:" in err
+    assert expected[1] in err

@@ -124,7 +124,7 @@ def test_gnm_edges_match_the_pair_list_sampler():
         cases.append((n, rng.randint(min(2 * n, total), total), rng.randrange(1 << 30)))
     for n, m, seed in cases:
         expected = _reference_gnm_edges(n, m, random.Random(seed), 1000)
-        assert _gnm_edges(n, m, random.Random(seed), 1000) == expected
+        assert _gnm_edges(n, m, random.Random(seed)) == expected
 
 
 @pytest.mark.parametrize(
