@@ -7,8 +7,6 @@ from .agents import (
     HelpingState,
     IndependentState,
     Mode,
-    helping_memory_bound,
-    independent_memory_bound,
     memory_bits_helping,
     memory_bits_independent,
 )

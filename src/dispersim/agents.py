@@ -1,9 +1,10 @@
 """Per-robot state for both algorithm families, plus memory accounting.
 
 States are small immutable values; the engine owns every mutation point.
-Memory accounting is an observer: states are represented naturally and
-measured against the closed-form bit formulas, because the claims being
-verified are bounds, not encodings.
+Memory is accounted by the closed-form bit formulas, not by an encoding,
+because the claims being verified are bounds.  A helping robot's bits depend
+only on whether it has settled and an independent robot's only on its stack
+depth, so the engine evaluates them once per robot when it builds the report.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "round_counter_bits",
     "memory_bits_helping",
     "memory_bits_independent",
-    "helping_memory_bound",
-    "independent_memory_bound",
 ]
 
 
@@ -106,7 +105,7 @@ def round_counter_bits(edge_count: int) -> int:
 
 
 def memory_bits_helping(
-    state: HelpingState, k: int, max_degree: int, edge_count: int
+    settled: bool, k: int, max_degree: int, edge_count: int
 ) -> int:
     """Exact bit count of a helping-family robot's state.
 
@@ -116,24 +115,12 @@ def memory_bits_helping(
     """
     pbits = port_value_bits(max_degree)
     bits = 2 * pbits + 2 + 1 + round_counter_bits(edge_count)
-    if state.mode is Mode.SETTLED:
+    if settled:
         bits += k + k * pbits
     return bits
 
 
-def memory_bits_independent(state: IndependentState, k: int, max_degree: int) -> int:
+def memory_bits_independent(stack_depth: int, k: int, max_degree: int) -> int:
     """Exact bit count: port_entered + mode + k-bit visited + stack entries."""
     pbits = port_value_bits(max_degree)
-    return pbits + 2 + k + len(state.stack) * pbits
-
-
-def helping_memory_bound(k: int, max_degree: int, edge_count: int) -> int:
-    """Family maximum: the settled formula (arrays allocated)."""
-    pbits = port_value_bits(max_degree)
-    return 2 * pbits + 3 + round_counter_bits(edge_count) + k + k * pbits
-
-
-def independent_memory_bound(k: int, max_degree: int) -> int:
-    """Family maximum: full stack at its depth bound k-1."""
-    pbits = port_value_bits(max_degree)
-    return pbits + 2 + k + (k - 1) * pbits
+    return pbits + 2 + k + stack_depth * pbits

@@ -8,8 +8,9 @@ family).  Steps never mutate anything: the engine owns all state
 application, which keeps runs replayable from a single mutation point.
 
 A step sees only the local view: node degree, the docked robot's handle (its
-label and the viewer's own slots in its arrays), co-located undocked labels,
-and the viewer's entry port.  Node identity is unreachable from here.
+label and the viewer's own slots in its arrays) and the viewer's entry port.
+Co-located undocked robots meet only through the engine's mutex arbitration,
+whose winner the step receives.  Node identity is unreachable from here.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class DockedHandle:
 class LocalView:
     degree: int
     docked: DockedHandle | None
-    co_located: tuple[int, ...]
     entry_port: int
 
 

@@ -8,11 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .agents import (
-    Mode,
-    helping_memory_bound,
-    independent_memory_bound,
-)
+from .agents import Mode, memory_bits_helping, memory_bits_independent
 from .graph import InitialPlacement, PortLabeledGraph, generate
 
 __all__ = [
@@ -155,11 +151,12 @@ def check_time_bound(report: RunReport, graph: PortLabeledGraph) -> bool:
 def check_memory_bound(
     report: RunReport, k: int, max_degree: int, edge_count: int
 ) -> bool:
-    """Per-robot peak memory never exceeds the closed-form family maximum."""
+    """Per-robot peak memory never exceeds the closed-form family maximum:
+    a settled helping robot, or an independent robot at stack depth k-1."""
     if report.algorithm.startswith("helping"):
-        bound = helping_memory_bound(k, max_degree, edge_count)
+        bound = memory_bits_helping(True, k, max_degree, edge_count)
     else:
-        bound = independent_memory_bound(k, max_degree)
+        bound = memory_bits_independent(k - 1, k, max_degree)
     return all(r.peak_memory_bits <= bound for r in report.robots)
 
 

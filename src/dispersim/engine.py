@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -134,14 +135,12 @@ class _RoundRobinSelector:
         self._next = 1
 
     def select(self, unsettled: Sequence[int]) -> int:
-        pool = set(unsettled)
-        cur = self._next
-        for _ in range(self._k):
-            if cur in pool:
-                self._next = cur % self._k + 1
-                return cur
-            cur = cur % self._k + 1
-        raise SimulationInvariantError("scheduler called with no unsettled robot")
+        # unsettled is ascending: the next label at or after the cursor, or
+        # the lowest one once the cursor has passed them all
+        i = bisect_left(unsettled, self._next)
+        pick = unsettled[i] if i < len(unsettled) else unsettled[0]
+        self._next = pick % self._k + 1
+        return pick
 
 
 class _FairSelector:
@@ -237,10 +236,7 @@ class WorldState:
         self.settle_time: list[int | None] = [None] * k
         self.active_iterations: list[int] = [0] * k
         self.peak_stack: list[int] = [0] * k
-        self.peak_memory: list[int] = [0] * k
         self.mutex_contentions = 0
-        for lab in range(1, k + 1):
-            self._note_memory(lab)
 
     @property
     def modes(self) -> list[Mode]:
@@ -249,12 +245,8 @@ class WorldState:
     def all_settled(self) -> bool:
         return not self.unsettled
 
-    def robots_at(self, node: int, exclude: int | None = None) -> list[int]:
-        return [
-            l
-            for l in self.unsettled
-            if self.positions[l - 1] == node and l != exclude
-        ]
+    def robots_at(self, node: int) -> list[int]:
+        return [l for l in self.unsettled if self.positions[l - 1] == node]
 
     def local_view(self, lab: int) -> LocalView:
         node = self.positions[lab - 1]
@@ -273,15 +265,13 @@ class WorldState:
         return LocalView(
             degree=self.graph.degree(node),
             docked=handle,
-            co_located=tuple(self.robots_at(node, exclude=lab)),
             entry_port=self.pending_entry[lab - 1],
         )
 
     def contenders_at(self, node: int) -> list[Contender]:
         return [
             Contender(l, self.pending_entry[l - 1], self.arrival_index[l - 1])
-            for l in self.unsettled
-            if self.positions[l - 1] == node
+            for l in self.robots_at(node)
         ]
 
     def arbitrate(self, node: int, policy: MutexPolicy) -> tuple[list[int], int]:
@@ -301,21 +291,8 @@ class WorldState:
                 f"robot {lab} attempted to leave the settled mode"
             )
         self.states[lab - 1] = state
-        self._note_memory(lab)
-
-    def _note_memory(self, lab: int) -> None:
-        state = self.states[lab - 1]
-        if self.helping:
-            bits = memory_bits_helping(
-                state, self.k, self.graph.max_degree, self.graph.edge_count
-            )
-        else:
-            depth = len(state.stack)
-            if depth > self.peak_stack[lab - 1]:
-                self.peak_stack[lab - 1] = depth
-            bits = memory_bits_independent(state, self.k, self.graph.max_degree)
-        if bits > self.peak_memory[lab - 1]:
-            self.peak_memory[lab - 1] = bits
+        if not self.helping and len(state.stack) > self.peak_stack[lab - 1]:
+            self.peak_stack[lab - 1] = len(state.stack)
 
     def dock(self, lab: int, node: int, when: int) -> None:
         if node in self.docked:
@@ -481,13 +458,19 @@ def _build_report(
     events_elapsed: int | None,
     trace_sink: Callable[[dict], None] | None,
 ) -> RunReport:
+    k, edges, delta = world.k, world.graph.edge_count, world.graph.max_degree
+    if world.helping:
+        # settling is absorbing: the final mode is the peak-memory mode
+        peaks = [memory_bits_helping(s.mode is Mode.SETTLED, k, delta, edges) for s in world.states]
+    else:
+        peaks = [memory_bits_independent(d, k, delta) for d in world.peak_stack]
     robots = tuple(
         RobotStats(
             label=lab,
             moves=world.moves[lab - 1],
             settle_time=world.settle_time[lab - 1],
             active_iterations=world.active_iterations[lab - 1],
-            peak_memory_bits=world.peak_memory[lab - 1],
+            peak_memory_bits=peaks[lab - 1],
             peak_stack_depth=None if world.helping else world.peak_stack[lab - 1],
         )
         for lab in range(1, world.k + 1)
@@ -499,7 +482,7 @@ def _build_report(
         events_elapsed=events_elapsed,
         node_count=world.graph.node_count,
         edge_count=world.graph.edge_count,
-        max_degree=world.graph.max_degree,
+        max_degree=delta,
         robot_count=world.k,
         robots=robots,
         final_positions=tuple(world.positions),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -101,24 +100,9 @@ class PortLabeledGraph:
             raise GraphError(
                 f"degree sum {degree_sum} does not equal 2*m = {2 * self.edge_count}"
             )
-        if not self._connected():
+        edges = ((v, u) for v, table in enumerate(self.ports) for u, _ in table if v < u)
+        if not _edges_connected(self.node_count, edges):
             raise GraphError("graph is not connected")
-
-    def _connected(self) -> bool:
-        if self.node_count <= 1:
-            return True
-        seen = [False] * self.node_count
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for u, _ in self.ports[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    count += 1
-                    queue.append(u)
-        return count == self.node_count
 
 
 @dataclass(frozen=True, slots=True)

@@ -84,14 +84,14 @@ def traversal_without_docking(
                 handle = DockedHandle(label, visited_bit, port)
             else:
                 handle = DockedHandle(label)
-            view = LocalView(degree, handle, (), pending)
+            view = LocalView(degree, handle, pending)
         else:
             phantom_at[pos] = next_phantom
             phantom_node[next_phantom] = pos
             slots[pos] = (False, -1)
             winner = next_phantom
             next_phantom += 1
-            view = LocalView(degree, None, (), pending)
+            view = LocalView(degree, None, pending)
 
         state, action, effects = step(state, view, winner)
         for record in effects:

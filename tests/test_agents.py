@@ -4,8 +4,6 @@ import pytest
 
 from dispersim.agents import (
     Mode,
-    helping_memory_bound,
-    independent_memory_bound,
     initial_helping_state,
     initial_independent_state,
     memory_bits_helping,
@@ -15,7 +13,6 @@ from dispersim.agents import (
     settle_helping,
     settle_independent,
 )
-from dataclasses import replace
 
 
 def test_port_value_bits_counts_sentinel():
@@ -33,33 +30,17 @@ def test_round_counter_bits():
 
 def test_helping_memory_settled_example():
     # k=4, Delta=3, m=6: 2*2 + 2 + 1 + 5 + 4 + 4*2 = 24 bits
-    state = settle_helping(initial_helping_state(1, 4))
-    assert memory_bits_helping(state, 4, 3, 6) == 24
-    assert helping_memory_bound(4, 3, 6) == 24
+    assert memory_bits_helping(True, 4, 3, 6) == 24
 
 
 def test_helping_memory_undocked_minimal_graph():
-    state = initial_helping_state(1, 1)
-    assert memory_bits_helping(state, 1, 1, 1) == 8
-
-
-def test_helping_memory_ignores_traversal_history():
-    base = initial_helping_state(2, 5)
-    variants = [
-        base,
-        replace(base, port_entered=3, parent_ptr=1, seen=True, round=17),
-        replace(base, mode=Mode.BACKTRACK, port_entered=0, round=2),
-    ]
-    values = {memory_bits_helping(s, 5, 4, 9) for s in variants}
-    assert len(values) == 1
+    assert memory_bits_helping(False, 1, 1, 1) == 8
 
 
 def test_independent_memory_examples():
-    state = initial_independent_state(1, 5)
-    assert memory_bits_independent(state, 5, 4) == 10
-    deep = replace(state, stack=(0, 1, 2, 3))
-    assert memory_bits_independent(deep, 5, 4) == 22
-    assert independent_memory_bound(5, 4) == 22
+    # k=5, Delta=4: 3 + 2 + 5 bits, plus 3 per stack entry up to depth k-1
+    assert memory_bits_independent(0, 5, 4) == 10
+    assert memory_bits_independent(4, 5, 4) == 22
 
 
 def test_helping_arrays_allocated_exactly_at_settle():

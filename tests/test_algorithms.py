@@ -25,8 +25,8 @@ from dispersim.algorithms import (
 )
 
 
-def view(degree, docked=None, co=(), entry=-1):
-    return LocalView(degree=degree, docked=docked, co_located=co, entry_port=entry)
+def view(degree, docked=None, entry=-1):
+    return LocalView(degree=degree, docked=docked, entry_port=entry)
 
 
 # --- docking alone -------------------------------------------------------

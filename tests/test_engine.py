@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispersim import engine
+from dispersim.agents import HelpingState, Mode, memory_bits_helping, memory_bits_independent
 from dispersim.algorithms import SimulationInvariantError
 from dispersim.analysis import async_iteration_bound, sync_round_bound
 from dispersim.engine import (
@@ -312,6 +314,60 @@ def test_report_shape_and_modes():
     assert report.rounds_elapsed is None
     assert report.events_elapsed == 6
     assert report.max_stack_depth == 2
+
+
+# --- memory accounting ------------------------------------------------------
+
+
+def _observe_peak_memory(monkeypatch, graph, k):
+    """Wrap the engine's step functions in a per-step memory observer: a
+    robot's peak is the largest formula value over every state its steps
+    receive or return.  The report derives the same figure once per robot."""
+    delta, m = graph.max_degree, graph.edge_count
+    peaks: dict[int, int] = {}
+
+    def bits(state):
+        if isinstance(state, HelpingState):
+            return memory_bits_helping(state.mode is Mode.SETTLED, k, delta, m)
+        return memory_bits_independent(len(state.stack), k, delta)
+
+    def observed(step):
+        def wrapped(state, view, mutex_winner):
+            out = step(state, view, mutex_winner)
+            for s in (state, out[0]):
+                peaks[s.label] = max(peaks.get(s.label, 0), bits(s))
+            return out
+
+        return wrapped
+
+    for name in ("helping_sync_step", "helping_async_step", "independent_step"):
+        monkeypatch.setattr(engine, name, observed(getattr(engine, name)))
+    return peaks
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+@pytest.mark.parametrize("mutex", list(MutexPolicy))
+@pytest.mark.parametrize(
+    "graph,placement",
+    [
+        (generate("random_tree", 24, seed=3, ports="random"), [0] * 24),
+        (generate("grid", 20, ports="random", seed=1), [0] * 20),
+        (generate("gnm", 16, 30, seed=6), [3, 3, 9, 0, 9, 12, 3, 3]),
+    ],
+    ids=["tree-colocated", "grid-colocated", "gnm-scattered"],
+)
+def test_report_peak_memory_matches_per_step_observer(monkeypatch, alg, mutex, graph, placement):
+    k = len(placement)
+    peaks = _observe_peak_memory(monkeypatch, graph, k)
+    records = []
+    scheduler = None if alg.is_sync else SeededRandom(seed=4)
+    report = run(graph, placement, alg, scheduler, mutex, trace_sink=records.append)
+    assert report.dispersed
+    assert [r.peak_memory_bits for r in report.robots] == [peaks[lab] for lab in range(1, k + 1)]
+    if not alg.is_sync and mutex is MutexPolicy.EARLIEST_ARRIVAL and len(set(placement)) == 1:
+        # the run settles some mutex winners in absentia, during another
+        # robot's event
+        assert any(rec["mutex"] and rec["mutex"]["winner"] != rec["robot"] for rec in records)
 
 
 # --- anonymity audit --------------------------------------------------------
