@@ -193,13 +193,17 @@ def _run_arguments(line: str) -> dict:
         scheduler = policy(
             **{f.name: _field(scheduler, f.name, types[f.name], f.default) for f in fields(policy)}
         )
+    safety_factor = _field(header, "safety_factor", int, DEFAULT_SAFETY_FACTOR)
+    if safety_factor < 1:
+        # run_async takes it (the run then makes no event); no recorded run does
+        raise ConfigError(f"bad 'safety_factor': {safety_factor!r} (needs at least 1)")
     return {
         "graph": graph_from_text(_field(header, "graph", str)),
         "placement": InitialPlacement(_field(header, "placement", tuple[int, ...])),
         "algorithm": Algorithm(_field(header, "algorithm", str)),
         "mutex_policy": MutexPolicy(_field(header, "mutex", str)),
         "scheduler_policy": scheduler,
-        "safety_factor": _field(header, "safety_factor", int, DEFAULT_SAFETY_FACTOR),
+        "safety_factor": safety_factor,
     }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -143,9 +144,22 @@ class _RoundRobinSelector:
         return pick
 
 
+def _holds(unsettled: Sequence[int], lab: int) -> bool:
+    """Whether the ascending label list ``unsettled`` holds ``lab``."""
+    i = bisect_left(unsettled, lab)
+    return i < len(unsettled) and unsettled[i] == lab
+
+
 class _FairSelector:
     """Shared fairness enforcement: no robot is passed over more than
-    ``bound`` consecutive scheduling decisions."""
+    ``bound`` consecutive scheduling decisions.
+
+    An unsettled robot is passed over by every decision since its last pick,
+    so its pass count is ``now - last pick``; robot l starts as if last
+    picked at decision 1 - l.  The staggered starts keep the counts pairwise
+    distinct forever, so at most one robot sits at the bound per decision,
+    none exceeds it, and the starved robot is the least recently picked.
+    """
 
     def __init__(self, k: int, bound: int) -> None:
         if bound < k - 1:
@@ -154,22 +168,27 @@ class _FairSelector:
                 f"(needs at least k-1 = {k - 1})"
             )
         self._bound = bound
-        # staggered starts keep the counters pairwise distinct forever, so at
-        # most one robot sits at the bound per decision and none exceeds it
-        self._passes = [0] + [label - 1 for label in range(1, k + 1)]
+        self._now = 0
+        # label -> last pick, least recently picked first; settled labels
+        # leave lazily, when they reach the front at the bound
+        self._order = OrderedDict((label, 1 - label) for label in range(k, 0, -1))
 
     def _choose(self, unsettled: Sequence[int]) -> int:
         raise NotImplementedError
 
     def select(self, unsettled: Sequence[int]) -> int:
-        starved = [l for l in unsettled if self._passes[l] >= self._bound]
-        if starved:
-            pick = max(starved, key=lambda l: (self._passes[l], -l))
-        else:
-            pick = self._choose(unsettled)
-        for l in unsettled:
-            self._passes[l] += 1
-        self._passes[pick] = 0
+        order, now = self._order, self._now
+        while True:
+            front = next(iter(order))
+            if now - order[front] < self._bound:
+                pick = self._choose(unsettled)
+                break
+            if _holds(unsettled, front):
+                pick = front
+                break
+            del order[front]
+        order.move_to_end(pick)
+        order[pick] = self._now = now + 1
         return pick
 
 
@@ -187,10 +206,18 @@ class _AdversarialSelector(_FairSelector):
         super().__init__(k, bound)
         if weights is not None and len(weights) != k:
             raise ValueError(f"need one delay weight per robot ({k}), got {len(weights)}")
-        self._weights = list(weights) if weights is not None else list(range(1, k + 1))
+        w = list(weights) if weights is not None else list(range(1, k + 1))
+        # labels by (weight, label); the cursor passes settled labels, which
+        # never return
+        self._ranked = sorted(range(1, k + 1), key=lambda l: (w[l - 1], l))
+        self._cursor = 0
 
     def _choose(self, unsettled: Sequence[int]) -> int:
-        return min(unsettled, key=lambda l: (self._weights[l - 1], l))
+        ranked, i = self._ranked, self._cursor
+        while not _holds(unsettled, ranked[i]):
+            i += 1
+        self._cursor = i
+        return ranked[i]
 
 
 def _make_selector(policy: SchedulerPolicy, k: int):

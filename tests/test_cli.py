@@ -220,6 +220,8 @@ ADVERSARIAL_RUN = (
             id="weights-not-one-per-robot",
         ),
         pytest.param(lambda h: {**h, "safety_factor": "x"}, id="safety-factor-not-an-int"),
+        pytest.param(lambda h: {**h, "safety_factor": 0}, id="safety-factor-zero"),
+        pytest.param(lambda h: {**h, "safety_factor": -1}, id="safety-factor-negative"),
         pytest.param(
             lambda h: {**h, "algorithm": "independent-sync"}, id="scheduler-on-sync-algorithm"
         ),

@@ -219,13 +219,19 @@ def _audit_fairness(records, report, bound):
         (SeededRandom, {"seed": 21}),
     ],
 )
-def test_schedulers_honor_fairness_bound(policy_cls, kwargs):
-    g = generate("gnm", 12, 20, seed=8)
-    k = 6
-    bound = 6  # deliberately tight (default is 10k) to make forcing visible
+@pytest.mark.parametrize(
+    "graph,k,bound",
+    [
+        # deliberately tight (default is 10k) to make forcing visible
+        pytest.param(lambda: generate("gnm", 12, 20, seed=8), 6, 6, id="gnm12-k6"),
+        # k - 1, the tightest satisfiable bound, with a crowd of 40
+        pytest.param(lambda: generate("random_tree", 48, seed=3), 40, 39, id="tree48-k40"),
+    ],
+)
+def test_schedulers_honor_fairness_bound(policy_cls, kwargs, graph, k, bound):
     records = []
     report = run_async(
-        g,
+        graph(),
         [0] * k,
         Algorithm.INDEPENDENT_ASYNC,
         scheduler_policy=policy_cls(fairness_bound=bound, **kwargs),
@@ -253,6 +259,93 @@ def test_unsatisfiable_fairness_bound_is_rejected():
             g, [0] * 5, Algorithm.INDEPENDENT_ASYNC,
             scheduler_policy=AdversarialStalling(fairness_bound=2),
         )
+
+
+# The pass-counter selectors the engine used before it kept last-pick order:
+# O(k) per decision, kept verbatim as the reference for the engine's picks.
+
+
+class _OracleFairSelector:
+    """Shared fairness enforcement: no robot is passed over more than
+    ``bound`` consecutive scheduling decisions."""
+
+    def __init__(self, k: int, bound: int) -> None:
+        if bound < k - 1:
+            raise ValueError(
+                f"fairness bound {bound} is unsatisfiable for {k} robots "
+                f"(needs at least k-1 = {k - 1})"
+            )
+        self._bound = bound
+        # staggered starts keep the counters pairwise distinct forever, so at
+        # most one robot sits at the bound per decision and none exceeds it
+        self._passes = [0] + [label - 1 for label in range(1, k + 1)]
+
+    def _choose(self, unsettled):
+        raise NotImplementedError
+
+    def select(self, unsettled):
+        starved = [l for l in unsettled if self._passes[l] >= self._bound]
+        if starved:
+            pick = max(starved, key=lambda l: (self._passes[l], -l))
+        else:
+            pick = self._choose(unsettled)
+        for l in unsettled:
+            self._passes[l] += 1
+        self._passes[pick] = 0
+        return pick
+
+
+class _OracleSeededRandomSelector(_OracleFairSelector):
+    def __init__(self, k: int, seed: int, bound: int) -> None:
+        super().__init__(k, bound)
+        self._rng = random.Random(seed)
+
+    def _choose(self, unsettled):
+        return self._rng.choice(unsettled)
+
+
+class _OracleAdversarialSelector(_OracleFairSelector):
+    def __init__(self, k: int, weights, bound: int) -> None:
+        super().__init__(k, bound)
+        if weights is not None and len(weights) != k:
+            raise ValueError(f"need one delay weight per robot ({k}), got {len(weights)}")
+        self._weights = list(weights) if weights is not None else list(range(1, k + 1))
+
+    def _choose(self, unsettled):
+        return min(unsettled, key=lambda l: (self._weights[l - 1], l))
+
+
+def _selector_pairs(k, bound, rng):
+    seed = rng.randrange(2**32)
+    yield (
+        _OracleSeededRandomSelector(k, seed, bound),
+        engine._SeededRandomSelector(k, seed, bound),
+    )
+    for weights in (None, [rng.randint(1, 3) for _ in range(k)]):  # ties
+        yield (
+            _OracleAdversarialSelector(k, weights, bound),
+            engine._AdversarialSelector(k, weights, bound),
+        )
+
+
+@pytest.mark.parametrize("k", range(1, 61))
+def test_selectors_pick_like_the_pass_counter_oracle(k):
+    rng = random.Random(k)
+    forced = 0
+    for bound in (k - 1, k, 2 * k, 10 * k):
+        # rare settles let robots starve up to a large bound
+        settle_rate = rng.choice((0.5, 0.1, 0.02))
+        for oracle, selector in _selector_pairs(k, bound, rng):
+            unsettled = list(range(1, k + 1))
+            while unsettled:
+                forced += max(oracle._passes[l] for l in unsettled) >= bound
+                pick = oracle.select(unsettled)
+                assert selector.select(unsettled) == pick
+                if rng.random() < settle_rate:
+                    unsettled.remove(pick)
+                if unsettled and rng.random() < settle_rate:
+                    unsettled.remove(rng.choice(unsettled))
+    assert forced
 
 
 def test_world_rejects_second_dock_on_same_node():
