@@ -18,9 +18,7 @@ from .algorithms import (
     LocalView,
     Move,
     SimulationInvariantError,
-    Stay,
-    helping_async_step,
-    helping_sync_step,
+    helping_step,
     independent_step,
     settled_service,
 )

@@ -1,10 +1,11 @@
 """Per-robot state for both algorithm families, plus memory accounting.
 
-States are small immutable values; the engine owns every mutation point.
-Memory is accounted by the closed-form bit formulas, not by an encoding,
-because the claims being verified are bounds.  A helping robot's bits depend
-only on whether it has settled and an independent robot's only on its stack
-depth, so the engine evaluates them once per robot when it builds the report.
+States are small immutable values; the engine owns every mutation point,
+including the visitor records a docked helping robot keeps.  Memory is
+accounted by the closed-form bit formulas, not by an encoding, because the
+claims being verified are bounds.  A helping robot's bits depend only on
+whether it has settled and an independent robot's only on its stack depth, so
+the engine evaluates them once per robot when it builds the report.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ __all__ = [
     "Mode",
     "HelpingState",
     "IndependentState",
-    "initial_helping_state",
-    "initial_independent_state",
-    "settle_helping",
-    "settle_independent",
+    "settle",
     "port_value_bits",
     "round_counter_bits",
     "memory_bits_helping",
@@ -35,60 +33,39 @@ class Mode(Enum):
 
 @dataclass(frozen=True, slots=True)
 class HelpingState:
-    """Robot state for the helping family (docked robots keep visitor records).
+    """Robot state for the helping family.
 
-    ``visited``/``entry_port`` are allocated only at the settle transition and
-    are indexed 1..k (slot 0 unused).  ``entry_port[j]`` holds the port by
-    which robot j first entered this node, -1 meaning "recorded before j ever
-    moved".
+    Once docked, the robot also keeps a visitor record per label (first-visit
+    bit and first entry port); the engine holds those and updates them in
+    place, so they are not part of this value.
     """
 
     label: int
-    k: int
     mode: Mode = Mode.EXPLORE
     port_entered: int = -1
     parent_ptr: int = -1
     seen: bool = False
     round: int = 0
-    visited: tuple[bool, ...] | None = None
-    entry_port: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class IndependentState:
-    """Robot state for the independent family: own visited array plus a stack
-    of entry ports acting as parent pointers back to the origin node."""
+    """Robot state for the independent family: own visited bitset (bit j set
+    once the robot met docked robot j) plus a stack of entry ports acting as
+    parent pointers back to the origin node."""
 
     label: int
     mode: Mode = Mode.EXPLORE
     port_entered: int = -1
     round: int = 0
-    visited: tuple[bool, ...] = ()
+    visited: int = 0
     stack: tuple[int, ...] = ()
 
 
-def initial_helping_state(label: int, k: int) -> HelpingState:
-    return HelpingState(label=label, k=k)
-
-
-def initial_independent_state(label: int, k: int) -> IndependentState:
-    # visited is indexed by robot label; slot 0 (and the owner's slot) unused
-    return IndependentState(label=label, visited=(False,) * (k + 1))
-
-
-def settle_helping(state: HelpingState) -> HelpingState:
-    """Settle transition: absorbing mode change plus one-time array allocation."""
-    if state.mode is Mode.SETTLED:
-        raise ValueError(f"robot {state.label} is already settled")
-    return replace(
-        state,
-        mode=Mode.SETTLED,
-        visited=(False,) * (state.k + 1),
-        entry_port=(-1,) * (state.k + 1),
-    )
-
-
-def settle_independent(state: IndependentState) -> IndependentState:
+def settle(
+    state: HelpingState | IndependentState,
+) -> HelpingState | IndependentState:
+    """The absorbing settle transition of either family."""
     if state.mode is Mode.SETTLED:
         raise ValueError(f"robot {state.label} is already settled")
     return replace(state, mode=Mode.SETTLED)

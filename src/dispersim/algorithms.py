@@ -8,22 +8,17 @@ family).  Steps never mutate anything: the engine owns all state
 application, which keeps runs replayable from a single mutation point.
 
 A step sees only the local view: node degree, the docked robot's handle (its
-label and the viewer's own slots in its arrays) and the viewer's entry port.
-Co-located undocked robots meet only through the engine's mutex arbitration,
-whose winner the step receives.  Node identity is unreachable from here.
+label and the viewer's own slots in its visitor records) and the viewer's
+entry port.  Co-located undocked robots meet only through the engine's mutex
+arbitration, whose winner the step receives.  Node identity is unreachable
+from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .agents import (
-    HelpingState,
-    IndependentState,
-    Mode,
-    settle_helping,
-    settle_independent,
-)
+from .agents import HelpingState, IndependentState, Mode, settle
 
 __all__ = [
     "SimulationInvariantError",
@@ -31,13 +26,10 @@ __all__ = [
     "LocalView",
     "Move",
     "Dock",
-    "Stay",
     "Action",
     "DOCK",
-    "STAY",
     "HelpRecord",
-    "helping_sync_step",
-    "helping_async_step",
+    "helping_step",
     "independent_step",
     "settled_service",
 ]
@@ -52,8 +44,8 @@ class DockedHandle:
     """What a docked robot communicates to the viewing robot.
 
     ``visited_self`` / ``entry_port_self`` are the viewer's own slots in the
-    docked robot's arrays (helping family; independent visitors only use the
-    label).
+    docked robot's visitor records (helping family; independent visitors only
+    use the label).
     """
 
     label: int
@@ -78,15 +70,9 @@ class Dock:
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Stay:
-    pass
-
-
-Action = Move | Dock | Stay
+Action = Move | Dock
 
 DOCK = Dock()
-STAY = Stay()
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,76 +86,47 @@ class HelpRecord:
 
 
 def settled_service(
-    docked: HelpingState, visitor_label: int, visitor_port: int
-) -> tuple[bool, int, HelpingState]:
-    """One docked-robot service exchange with a visitor.
+    visited: list[bool], entry_port: list[int], visitor_label: int, visitor_port: int
+) -> tuple[bool, int]:
+    """One docked-robot service exchange with a visitor, in place on the
+    docked robot's visitor records.
 
     Returns the pre-update (visited[j], entry_port[j]) pair the visitor
-    receives, plus the docked robot's successor state: a first visit stores
-    visited[j] = 1 and entry_port[j] = visitor_port, a repeat visit changes
-    nothing.
+    receives: a first visit then stores visited[j] = True and entry_port[j] =
+    visitor_port, a repeat visit changes nothing.
     """
-    if docked.mode is not Mode.SETTLED or docked.visited is None:
-        raise SimulationInvariantError(
-            f"robot {docked.label} is not settled and cannot serve visitors"
-        )
-    was_visited = docked.visited[visitor_label]
-    old_port = docked.entry_port[visitor_label]
-    if was_visited:
-        return True, old_port, docked
-    visited = list(docked.visited)
-    entry_port = list(docked.entry_port)
-    visited[visitor_label] = True
-    entry_port[visitor_label] = visitor_port
-    updated = replace(docked, visited=tuple(visited), entry_port=tuple(entry_port))
-    return False, old_port, updated
+    was_visited = visited[visitor_label]
+    old_port = entry_port[visitor_label]
+    if not was_visited:
+        visited[visitor_label] = True
+        entry_port[visitor_label] = visitor_port
+    return was_visited, old_port
 
 
 def _advance(port: int, degree: int) -> int:
     return (port + 1) % degree
 
 
-def helping_sync_step(
+def helping_step(
     state: HelpingState, view: LocalView, mutex_winner: int | None
 ) -> tuple[HelpingState, Action, tuple[HelpRecord, ...]]:
-    """One synchronous loop-body iteration of the helping algorithm.
+    """One loop-body iteration of the helping algorithm, in either engine.
 
-    A settled robot's helper block is realized through its visitors' steps
-    (the engine applies their HelpRecords via ``settled_service``), so the
-    settled case is a passive STAY here.  The winner's recording of robots
-    co-located at docking time is realized by the losers' HelpRecords,
-    emitted in this same round.
-    """
-    if state.mode is Mode.SETTLED:
-        return state, STAY, ()
-    return _helping_body(state, view, mutex_winner)
+    A settled robot never acts: its helper block is realized through its
+    visitors' steps, whose HelpRecords the engine applies to its visitor
+    records.  The winner's recording of robots co-located at docking time is
+    realized by the losers' HelpRecords; in the asynchronous engine the
+    winner may be a parked robot other than the acting one, which the engine
+    settles within the same event, before applying this step's records.
 
-
-def helping_async_step(
-    state: HelpingState, view: LocalView, mutex_winner: int | None
-) -> tuple[HelpingState, Action, tuple[HelpRecord, ...]]:
-    """One asynchronous loop-body iteration of the helping algorithm.
-
-    Docking breaks out immediately after initializing the arrays (co-located
-    robots are served later as ordinary visitors), so a settled robot never
-    acts.  The winner may be a robot other than the acting one; the engine
-    settles it within the same event, before applying this step's records.
+    ``mutex_winner`` must be the node's arbitration result when the node is
+    free, None otherwise.
     """
     if state.mode is Mode.SETTLED:
         raise SimulationInvariantError(
             f"settled robot {state.label} has no active iterations"
         )
-    return _helping_body(state, view, mutex_winner)
 
-
-def _helping_body(
-    state: HelpingState, view: LocalView, mutex_winner: int | None
-) -> tuple[HelpingState, Action, tuple[HelpRecord, ...]]:
-    """The loop body both helping variants share, for an unsettled robot.
-
-    ``mutex_winner`` must be the node's arbitration result when the node is
-    free, None otherwise.
-    """
     pe = state.port_entered
     pp = state.parent_ptr
     seen = state.seen
@@ -208,9 +165,9 @@ def _helping_body(
         )
     elif mutex_winner == state.label:
         new = replace(state, port_entered=pe, parent_ptr=pp, seen=seen, round=nxt)
-        return settle_helping(new), DOCK, ()
+        return settle(new), DOCK, ()
     else:
-        # loser: a first visit at the fresh winner, whose arrays are blank;
+        # loser: a first visit at the fresh winner, whose records are blank;
         # here pp == pe and seen is False already, so the winner records
         # this robot's current entry port
         effects = (HelpRecord(mutex_winner, state.label, pe),)
@@ -228,8 +185,8 @@ def independent_step(
 ) -> tuple[IndependentState, Action, tuple[HelpRecord, ...]]:
     """One loop-body iteration of the independent algorithm.
 
-    The robot keeps its own visited array (indexed by docked-robot labels)
-    and a stack of entry ports; the stack top is the parent pointer of the
+    The robot keeps its own visited bitset (bit j for docked robot j) and a
+    stack of entry ports; the stack top is the parent pointer of the
     current node.  Docked robots only relay their labels, so the help
     records are always empty.
     """
@@ -255,7 +212,7 @@ def independent_step(
                 f"robot {state.label} backtracking with an empty stack"
             )
     else:
-        if view.docked is not None and visited[view.docked.label]:
+        if view.docked is not None and visited >> view.docked.label & 1:
             # revisited node: bounce straight back the way we came
             new = replace(state, mode=Mode.BACKTRACK, port_entered=pe, round=nxt)
             return new, Move(pe), ()
@@ -267,14 +224,12 @@ def independent_step(
                     f"robot {state.label} at a free node without arbitration"
                 )
             if mutex_winner == state.label:
-                new = settle_independent(replace(state, port_entered=pe, round=nxt))
+                new = settle(replace(state, port_entered=pe, round=nxt))
                 return new, DOCK, ()
             marked = mutex_winner
         # first visit: mark the docked (or freshly docking) robot, remember
         # the entry port as this node's parent pointer, take the next port
-        lst = list(visited)
-        lst[marked] = True
-        visited = tuple(lst)
+        visited |= 1 << marked
         stack = stack + (pe,)
 
     pe = _advance(pe, view.degree)

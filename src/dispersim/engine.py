@@ -17,9 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .agents import (
     HelpingState,
+    IndependentState,
     Mode,
-    initial_helping_state,
-    initial_independent_state,
     memory_bits_helping,
     memory_bits_independent,
 )
@@ -30,8 +29,7 @@ from .algorithms import (
     LocalView,
     Move,
     SimulationInvariantError,
-    helping_async_step,
-    helping_sync_step,
+    helping_step,
     independent_step,
     settled_service,
 )
@@ -58,6 +56,10 @@ __all__ = [
 ]
 
 DEFAULT_SAFETY_FACTOR = 4
+
+# one helping step serves both engines; perfbench/spans.py times each
+# engine's step through its own binding, which _start reads at run start
+helping_sync_step = helping_async_step = helping_step
 
 
 class Algorithm(Enum):
@@ -234,8 +236,9 @@ class WorldState:
     """Mutable simulation state confined to a single run.
 
     Holds robot positions and algorithm states (label i at index i-1), the
-    per-node docked registry, arrival bookkeeping for mutex arbitration, and
-    the outcome counters the report is built from.
+    per-node docked registry, the docked helping robots' visitor records,
+    arrival bookkeeping for mutex arbitration, and the outcome counters the
+    report is built from.
     """
 
     def __init__(
@@ -249,11 +252,12 @@ class WorldState:
         self.k = k
         self.helping = helping
         self.positions: list[int] = list(positions)
-        if helping:
-            self.states: list = [initial_helping_state(i + 1, k) for i in range(k)]
-        else:
-            self.states = [initial_independent_state(i + 1, k) for i in range(k)]
+        state = HelpingState if helping else IndependentState
+        self.states: list = [state(lab) for lab in range(1, k + 1)]
         self.docked: dict[int, int] = {}
+        # a docked helping robot's (visited, entry_port) visitor records,
+        # k+1 slots each, indexed by visitor label; None before docking
+        self.records: list[tuple[list[bool], list[int]] | None] = [None] * k
         # ascending labels; robots only ever leave it
         self.unsettled: list[int] = list(range(1, k + 1))
         self.pending_entry: list[int] = [-1] * k
@@ -280,15 +284,12 @@ class WorldState:
         docked_lab = self.docked.get(node)
         handle = None
         if docked_lab is not None:
-            if self.helping:
-                docked_state: HelpingState = self.states[docked_lab - 1]
-                handle = DockedHandle(
-                    label=docked_lab,
-                    visited_self=docked_state.visited[lab],
-                    entry_port_self=docked_state.entry_port[lab],
-                )
-            else:
+            records = self.records[docked_lab - 1]
+            if records is None:
                 handle = DockedHandle(label=docked_lab)
+            else:
+                visited, entry_port = records
+                handle = DockedHandle(docked_lab, visited[lab], entry_port[lab])
         return LocalView(
             degree=self.graph.degree(node),
             docked=handle,
@@ -330,6 +331,8 @@ class WorldState:
         self.docked[node] = lab
         self.settle_time[lab - 1] = when
         self.unsettled.remove(lab)
+        if self.helping:
+            self.records[lab - 1] = ([False] * (self.k + 1), [-1] * (self.k + 1))
 
     def apply_iteration(self, lab: int, node: int, state, action, when: int) -> None:
         """Apply one active iteration's successor state; a DOCK action docks
@@ -347,11 +350,13 @@ class WorldState:
         self.apply_iteration(lab, node, state, action, when)
 
     def apply_help_record(self, record: HelpRecord) -> None:
-        target = self.states[record.docked_label - 1]
-        _, _, updated = settled_service(
-            target, record.visitor_label, record.entry_port
-        )
-        self.states[record.docked_label - 1] = updated
+        records = self.records[record.docked_label - 1]
+        if records is None:
+            raise SimulationInvariantError(
+                f"robot {record.docked_label} keeps no visitor records and "
+                "cannot serve visitors"
+            )
+        settled_service(*records, record.visitor_label, record.entry_port)
 
     def move_robot(self, lab: int, port: int) -> None:
         src = self.positions[lab - 1]
@@ -417,9 +422,7 @@ def trace_record_line(record: dict) -> str:
 def _action_dict(action) -> dict:
     if isinstance(action, Move):
         return {"type": "move", "port": action.port}
-    if isinstance(action, Dock):
-        return {"type": "dock"}
-    return {"type": "stay"}
+    return {"type": "dock"}
 
 
 def _trace_record(
@@ -471,10 +474,8 @@ def _start(
     helping = algorithm.family == "helping"
     if not helping:
         step = independent_step
-    elif sync:
-        step = helping_sync_step
     else:
-        step = helping_async_step
+        step = helping_sync_step if sync else helping_async_step
     return algorithm, WorldState(graph, positions, helping), step
 
 

@@ -5,22 +5,17 @@ from __future__ import annotations
 
 import random
 
-from dispersim.agents import initial_helping_state, initial_independent_state
+from dispersim.agents import HelpingState, IndependentState
 from dispersim.algorithms import (
     DockedHandle,
     LocalView,
     Move,
-    helping_async_step,
-    helping_sync_step,
+    helping_step,
     independent_step,
 )
 from dispersim.graph import InitialPlacement, PortLabeledGraph, build_graph, generate
 
-STEP_FUNCTIONS = {
-    "helping-sync": helping_sync_step,
-    "helping-async": helping_async_step,
-    "independent": independent_step,
-}
+STEP_FUNCTIONS = {"helping": helping_step, "independent": independent_step}
 
 
 def random_connected_instance(
@@ -58,12 +53,8 @@ def traversal_without_docking(
     4m - 2n + 2 moves, the length of a complete depth-first traversal.
     """
     step = STEP_FUNCTIONS[step_name]
-    helping = step_name.startswith("helping")
-    if helping:
-        state = initial_helping_state(1, 1)
-    else:
-        # label space must fit one phantom per node
-        state = initial_independent_state(1, graph.node_count + 1)
+    helping = step_name == "helping"
+    state = HelpingState(1) if helping else IndependentState(1)
 
     phantom_at: dict[int, int] = {}
     phantom_node: dict[int, int] = {}

@@ -160,14 +160,14 @@ def test_criterion_6_oracle_equivalence():
         start = rng.randrange(graph.node_count)
         oracle = single_robot_dfs_oracle(graph, start)
         graphs += 1
-        for family in ("helping-sync", "helping-async", "independent"):
+        for family in ("helping", "independent"):
             if traversal_without_docking(graph, start, family) != oracle:
                 mismatches += 1
     _verdict(
         6,
         mismatches == 0,
         f"docking-disabled traversals equal the DFS oracle on {graphs} graphs "
-        "x 3 step functions (exact sequence equality)",
+        "x 2 step functions (exact sequence equality)",
     )
 
 

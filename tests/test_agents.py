@@ -1,17 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from dispersim.agents import (
+    HelpingState,
+    IndependentState,
     Mode,
-    initial_helping_state,
-    initial_independent_state,
     memory_bits_helping,
     memory_bits_independent,
     port_value_bits,
     round_counter_bits,
-    settle_helping,
-    settle_independent,
+    settle,
 )
 
 
@@ -43,28 +44,21 @@ def test_independent_memory_examples():
     assert memory_bits_independent(4, 5, 4) == 22
 
 
-def test_helping_arrays_allocated_exactly_at_settle():
-    state = initial_helping_state(3, 4)
-    assert state.visited is None and state.entry_port is None
-    settled = settle_helping(state)
+@pytest.mark.parametrize(
+    "state",
+    [HelpingState(3), IndependentState(2, visited=0b110)],
+    ids=["helping", "independent"],
+)
+def test_settle_is_absorbing(state):
+    settled = settle(state)
     assert settled.mode is Mode.SETTLED
-    assert settled.visited == (False,) * 5
-    assert settled.entry_port == (-1,) * 5
+    assert settled == replace(state, mode=Mode.SETTLED)
     with pytest.raises(ValueError):
-        settle_helping(settled)
-
-
-def test_independent_settle_is_absorbing():
-    state = initial_independent_state(2, 3)
-    settled = settle_independent(state)
-    assert settled.mode is Mode.SETTLED
-    assert settled.visited == state.visited
-    with pytest.raises(ValueError):
-        settle_independent(settled)
+        settle(settled)
 
 
 def test_initial_states():
-    h = initial_helping_state(1, 3)
+    h = HelpingState(1)
     assert (h.mode, h.port_entered, h.parent_ptr, h.seen, h.round) == (
         Mode.EXPLORE,
         -1,
@@ -72,6 +66,6 @@ def test_initial_states():
         False,
         0,
     )
-    i = initial_independent_state(2, 3)
-    assert i.visited == (False,) * 4
+    i = IndependentState(2)
+    assert i.visited == 0
     assert i.stack == ()

@@ -4,12 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from dispersim.agents import (
-    Mode,
-    initial_helping_state,
-    initial_independent_state,
-    settle_helping,
-)
+from dispersim.agents import HelpingState, IndependentState, Mode, settle
 from dispersim.algorithms import (
     Dock,
     DockedHandle,
@@ -17,9 +12,7 @@ from dispersim.algorithms import (
     LocalView,
     Move,
     SimulationInvariantError,
-    Stay,
-    helping_async_step,
-    helping_sync_step,
+    helping_step,
     independent_step,
     settled_service,
 )
@@ -32,18 +25,15 @@ def view(degree, docked=None, entry=-1):
 # --- docking alone -------------------------------------------------------
 
 
-@pytest.mark.parametrize("step", [helping_sync_step, helping_async_step])
-def test_lone_helping_robot_docks_immediately(step):
-    state = initial_helping_state(1, 1)
-    new, action, effects = step(state, view(2), mutex_winner=1)
+def test_lone_helping_robot_docks_immediately():
+    new, action, effects = helping_step(HelpingState(1), view(2), mutex_winner=1)
     assert isinstance(action, Dock)
     assert new.mode is Mode.SETTLED
-    assert new.visited == (False, False)
     assert effects == ()
 
 
 def test_lone_independent_robot_docks_immediately():
-    state = initial_independent_state(1, 1)
+    state = IndependentState(1)
     new, action, _ = independent_step(state, view(3), mutex_winner=1)
     assert isinstance(action, Dock)
     assert new.mode is Mode.SETTLED
@@ -53,34 +43,31 @@ def test_lone_independent_robot_docks_immediately():
 # --- helping explore at a docked node ------------------------------------
 
 
-@pytest.mark.parametrize("step", [helping_sync_step, helping_async_step])
-def test_seen_node_triggers_backtrack_through_entry_port(step):
-    state = replace(initial_helping_state(2, 3), round=4)
+def test_seen_node_triggers_backtrack_through_entry_port():
+    state = replace(HelpingState(2), round=4)
     docked = DockedHandle(label=1, visited_self=True, entry_port_self=0)
-    new, action, effects = step(state, view(3, docked, entry=2), mutex_winner=None)
+    new, action, effects = helping_step(state, view(3, docked, entry=2), None)
     assert new.mode is Mode.BACKTRACK
     assert action == Move(2)  # back the way it came
     assert new.parent_ptr == 0  # first-entry port received from the dock
     assert effects == ()
 
 
-@pytest.mark.parametrize("step", [helping_sync_step, helping_async_step])
-def test_first_visit_records_entry_and_advances(step):
-    state = replace(initial_helping_state(2, 3), round=4)
+def test_first_visit_records_entry_and_advances():
+    state = replace(HelpingState(2), round=4)
     docked = DockedHandle(label=1, visited_self=False, entry_port_self=-1)
-    new, action, effects = step(state, view(3, docked, entry=1), mutex_winner=None)
+    new, action, effects = helping_step(state, view(3, docked, entry=1), None)
     assert new.mode is Mode.EXPLORE
     assert action == Move(2)  # (1 + 1) mod 3
     assert new.parent_ptr == 1
     assert effects == (HelpRecord(1, 2, 1),)
 
 
-@pytest.mark.parametrize("step", [helping_sync_step, helping_async_step])
-def test_first_visit_wraps_to_parent_and_backtracks(step):
+def test_first_visit_wraps_to_parent_and_backtracks():
     # advancing from the entry port on a degree-1 node returns to it
-    state = replace(initial_helping_state(2, 3), round=4)
+    state = replace(HelpingState(2), round=4)
     docked = DockedHandle(label=1, visited_self=False, entry_port_self=-1)
-    new, action, effects = step(state, view(1, docked, entry=0), mutex_winner=None)
+    new, action, effects = helping_step(state, view(1, docked, entry=0), None)
     assert new.mode is Mode.BACKTRACK
     assert action == Move(0)
     assert effects == (HelpRecord(1, 2, 0),)
@@ -89,28 +76,20 @@ def test_first_visit_wraps_to_parent_and_backtracks(step):
 # --- mutex loss ----------------------------------------------------------
 
 
-def test_sync_loser_sends_entry_port_to_winner():
-    state = replace(initial_helping_state(3, 3), round=2)
-    new, action, effects = helping_sync_step(state, view(2, entry=1), mutex_winner=2)
+def test_loser_records_first_visit_at_fresh_winner():
+    state = replace(HelpingState(3), round=2)
+    new, action, effects = helping_step(state, view(2, entry=1), mutex_winner=2)
     assert effects == (HelpRecord(2, 3, 1),)
     assert action == Move(0)  # (1 + 1) mod 2
     assert new.mode is Mode.EXPLORE
     assert new.parent_ptr == 1
-
-
-def test_async_loser_records_first_visit_at_fresh_winner():
-    state = replace(initial_helping_state(3, 3), round=2)
-    new, action, effects = helping_async_step(state, view(2, entry=1), mutex_winner=2)
-    assert effects == (HelpRecord(2, 3, 1),)
-    assert new.parent_ptr == 1
     assert new.seen is False
-    assert action == Move(0)
 
 
 def test_independent_loser_marks_winner_and_pushes():
-    state = replace(initial_independent_state(3, 3), round=2)
+    state = replace(IndependentState(3), round=2)
     new, action, _ = independent_step(state, view(2, entry=1), mutex_winner=2)
-    assert new.visited[2] is True
+    assert new.visited == 1 << 2
     assert new.stack == (1,)
     assert action == Move(0)
     assert new.mode is Mode.EXPLORE
@@ -120,18 +99,18 @@ def test_independent_loser_marks_winner_and_pushes():
 
 
 def test_independent_first_visit_pushes_and_advances():
-    state = replace(initial_independent_state(2, 3), round=3)
+    state = replace(IndependentState(2), round=3)
     new, action, _ = independent_step(
         state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
     )
-    assert new.visited[1] is True
+    assert new.visited == 1 << 1
     assert new.stack == (0,)
     assert action == Move(1)
     assert new.mode is Mode.EXPLORE
 
 
 def test_independent_leaf_pushes_then_pops():
-    state = replace(initial_independent_state(2, 3), round=3)
+    state = replace(IndependentState(2), round=3)
     new, action, _ = independent_step(
         state, view(1, DockedHandle(label=1), entry=0), mutex_winner=None
     )
@@ -141,8 +120,8 @@ def test_independent_leaf_pushes_then_pops():
 
 
 def test_independent_revisit_bounces_back():
-    state = replace(initial_independent_state(2, 3), round=3)
-    state = replace(state, visited=(False, True, False, False))
+    state = replace(IndependentState(2), round=3)
+    state = replace(state, visited=1 << 1)
     new, action, _ = independent_step(
         state, view(3, DockedHandle(label=1), entry=2), mutex_winner=None
     )
@@ -153,7 +132,7 @@ def test_independent_revisit_bounces_back():
 
 def test_independent_backtrack_resumes_exploring_when_port_differs():
     state = replace(
-        initial_independent_state(2, 3), round=3, mode=Mode.BACKTRACK, stack=(-1,)
+        IndependentState(2), round=3, mode=Mode.BACKTRACK, stack=(-1,)
     )
     new, action, _ = independent_step(
         state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
@@ -165,7 +144,7 @@ def test_independent_backtrack_resumes_exploring_when_port_differs():
 
 def test_independent_backtrack_pops_on_parent_port():
     state = replace(
-        initial_independent_state(2, 3), round=3, mode=Mode.BACKTRACK, stack=(-1, 1)
+        IndependentState(2), round=3, mode=Mode.BACKTRACK, stack=(-1, 1)
     )
     new, action, _ = independent_step(
         state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
@@ -179,68 +158,55 @@ def test_independent_backtrack_pops_on_parent_port():
 
 
 def test_settled_service_first_and_repeat_visits():
-    docked = settle_helping(initial_helping_state(1, 4))
-    seen, port, docked = settled_service(docked, 3, 2)
-    assert (seen, port) == (False, -1)
-    assert docked.visited[3] is True
-    assert docked.entry_port[3] == 2
-    seen, port, again = settled_service(docked, 3, 0)
-    assert (seen, port) == (True, 2)
-    assert again is docked  # no state change on repeat visits
+    visited, entry_port = [False] * 5, [-1] * 5
+    assert settled_service(visited, entry_port, 3, 2) == (False, -1)
+    after = ([False, False, False, True, False], [-1, -1, -1, 2, -1])
+    assert (visited, entry_port) == after
+    # a repeat visit receives the first entry port and changes nothing
+    assert settled_service(visited, entry_port, 3, 0) == (True, 2)
+    assert (visited, entry_port) == after
 
 
 def test_settled_service_records_sentinel_for_unmoved_visitor():
-    docked = settle_helping(initial_helping_state(1, 4))
-    seen, port, docked = settled_service(docked, 2, -1)
-    assert (seen, port) == (False, -1)
-    assert docked.entry_port[2] == -1
-    assert docked.visited[2] is True
-
-
-def test_settled_service_requires_settled_robot():
-    with pytest.raises(SimulationInvariantError):
-        settled_service(initial_helping_state(1, 4), 2, 0)
+    visited, entry_port = [False] * 5, [-1] * 5
+    assert settled_service(visited, entry_port, 2, -1) == (False, -1)
+    assert (visited[2], entry_port[2]) == (True, -1)
 
 
 # --- hard failures and absorbing behaviour --------------------------------
 
 
-def test_settled_helping_sync_step_is_passive():
-    docked = settle_helping(initial_helping_state(1, 2))
-    new, action, effects = helping_sync_step(docked, view(2), mutex_winner=None)
-    assert isinstance(action, Stay)
-    assert new is docked
-    assert effects == ()
-
-
-@pytest.mark.parametrize("step", [helping_async_step])
-def test_async_step_rejects_settled_robot(step):
-    docked = settle_helping(initial_helping_state(1, 2))
-    with pytest.raises(SimulationInvariantError):
-        step(docked, view(2), mutex_winner=None)
+@pytest.mark.parametrize(
+    "state,step",
+    [(HelpingState(1), helping_step), (IndependentState(1), independent_step)],
+    ids=["helping", "independent"],
+)
+def test_step_rejects_settled_robot(state, step):
+    with pytest.raises(SimulationInvariantError, match="settled robot 1"):
+        step(settle(state), view(2), mutex_winner=None)
 
 
 def test_backtrack_into_free_node_is_hard_failure():
-    helping = replace(initial_helping_state(1, 2), mode=Mode.BACKTRACK, round=2)
+    helping = replace(HelpingState(1), mode=Mode.BACKTRACK, round=2)
     with pytest.raises(SimulationInvariantError):
-        helping_sync_step(helping, view(2, entry=0), mutex_winner=1)
+        helping_step(helping, view(2, entry=0), mutex_winner=1)
     independent = replace(
-        initial_independent_state(1, 2), mode=Mode.BACKTRACK, round=2, stack=(-1,)
+        IndependentState(1), mode=Mode.BACKTRACK, round=2, stack=(-1,)
     )
     with pytest.raises(SimulationInvariantError):
         independent_step(independent, view(2, entry=0), mutex_winner=1)
 
 
 def test_backtrack_with_empty_stack_is_hard_failure():
-    state = replace(initial_independent_state(1, 2), mode=Mode.BACKTRACK, round=2)
+    state = replace(IndependentState(1), mode=Mode.BACKTRACK, round=2)
     with pytest.raises(SimulationInvariantError):
         independent_step(state, view(2, DockedHandle(label=2), entry=0), None)
 
 
 def test_free_node_without_arbitration_is_hard_failure():
-    state = initial_helping_state(1, 2)
+    state = HelpingState(1)
     with pytest.raises(SimulationInvariantError):
-        helping_sync_step(state, view(2), mutex_winner=None)
+        helping_step(state, view(2), mutex_winner=None)
 
 
 # --- port arithmetic -------------------------------------------------------
@@ -251,8 +217,8 @@ def test_free_node_without_arbitration_is_hard_failure():
 def test_moves_stay_in_port_range(degree, entry):
     if entry >= degree:
         pytest.skip("entry port outside degree")
-    state = replace(initial_helping_state(2, 3), round=0 if entry == -1 else 3)
-    new, action, _ = helping_sync_step(state, view(degree, entry=entry), mutex_winner=9)
+    state = replace(HelpingState(2), round=0 if entry == -1 else 3)
+    new, action, _ = helping_step(state, view(degree, entry=entry), mutex_winner=9)
     assert isinstance(action, Move)
     assert 0 <= action.port < degree
     assert action.port == (entry + 1) % degree

@@ -102,7 +102,7 @@ def test_dfs_oracle_ignores_node_identity():
     assert single_robot_dfs_oracle(h, perm[start]) == mapped
 
 
-@pytest.mark.parametrize("family", ["helping-sync", "helping-async", "independent"])
+@pytest.mark.parametrize("family", ["helping", "independent"])
 def test_docking_disabled_traversal_equals_oracle(family):
     rng = random.Random(101)
     for _ in range(10):

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from dispersim import engine
 from dispersim.agents import HelpingState, Mode, memory_bits_helping, memory_bits_independent
-from dispersim.algorithms import SimulationInvariantError
+from dispersim.algorithms import (
+    DockedHandle,
+    HelpRecord,
+    SimulationInvariantError,
+    helping_step,
+)
 from dispersim.analysis import async_iteration_bound, sync_round_bound
 from dispersim.engine import (
     AdversarialStalling,
@@ -356,12 +361,53 @@ def test_world_rejects_second_dock_on_same_node():
 
 
 def test_world_rejects_leaving_settled_mode():
-    from dispersim.agents import initial_helping_state, settle_helping
+    from dispersim.agents import settle
 
     world = WorldState(TRIANGLE, [0, 0], helping=True)
-    world.apply_state(1, settle_helping(world.states[0]))
+    world.apply_state(1, settle(world.states[0]))
     with pytest.raises(SimulationInvariantError):
-        world.apply_state(1, initial_helping_state(1, 2))
+        world.apply_state(1, HelpingState(1))
+
+
+def test_both_engines_bind_the_one_helping_step():
+    # perfbench/spans.py wraps each engine's helping step by these names
+    assert engine.helping_sync_step is engine.helping_async_step is helping_step
+
+
+@pytest.mark.parametrize("helping", [True, False])
+def test_visitor_records_exist_exactly_from_dock_in_helping_family(helping):
+    world = WorldState(TRIANGLE, [0, 0, 0], helping=helping)
+    assert world.records == [None] * 3
+    world.dock(2, 0, 0)
+    blank = ([False] * 4, [-1] * 4)
+    assert world.records == [None, blank if helping else None, None]
+    assert world.local_view(1).docked == DockedHandle(2)
+
+
+def test_help_records_serve_first_visits_only():
+    world = WorldState(TRIANGLE, [0, 0, 0], helping=True)
+    world.dock(1, 0, 0)
+    world.apply_help_record(HelpRecord(1, 3, 2))
+    assert world.local_view(3).docked == DockedHandle(1, True, 2)
+    # a repeat visit keeps the first entry port
+    world.apply_help_record(HelpRecord(1, 3, 0))
+    assert world.local_view(3).docked == DockedHandle(1, True, 2)
+    # a visitor recorded before it ever moved keeps the -1 sentinel
+    world.apply_help_record(HelpRecord(1, 2, -1))
+    assert world.local_view(2).docked == DockedHandle(1, True, -1)
+    assert world.records[0] == ([False, False, True, True], [-1, -1, -1, 2])
+
+
+@pytest.mark.parametrize(
+    "helping,target",
+    [(True, 1), (False, 1), (False, 2)],
+    ids=["helping-undocked", "independent-undocked", "independent-docked"],
+)
+def test_help_record_to_robot_without_records_is_hard_failure(helping, target):
+    world = WorldState(TRIANGLE, [0, 1], helping=helping)
+    world.dock(2, 1, 0)  # robot 1 stays undocked
+    with pytest.raises(SimulationInvariantError, match=f"robot {target} keeps no"):
+        world.apply_help_record(HelpRecord(target, 1, 0))
 
 
 @pytest.mark.parametrize("helping", [True, False])
@@ -369,14 +415,14 @@ def test_settle_in_absentia_refreshes_entry_port_like_own_iteration(helping):
     from dataclasses import replace
 
     from dispersim.agents import Mode
-    from dispersim.algorithms import helping_async_step, independent_step
+    from dispersim.algorithms import independent_step
 
     g = generate("line", 3)
     world = WorldState(g, [0, 0], helping=helping)
     # robot 1 has acted once and just arrived at node 1 through port 0
     world.apply_state(1, replace(world.states[0], round=1, port_entered=5))
     world.move_robot(1, 0)
-    step = helping_async_step if helping else independent_step
+    step = helping_step if helping else independent_step
     world.settle_in_absentia(1, 1, 7, step)
     settled = world.states[0]
     assert settled.mode is Mode.SETTLED
