@@ -16,7 +16,7 @@ from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .agents import HelpingState, IndependentState, Mode, settle
 
@@ -127,6 +127,8 @@ def helping_step(
             f"settled robot {state.label} has no active iterations"
         )
 
+    # successors are built positionally: (label, mode, port_entered,
+    # parent_ptr, seen, round)
     pe = state.port_entered
     pp = state.parent_ptr
     seen = state.seen
@@ -143,14 +145,7 @@ def helping_step(
         if state.mode is Mode.EXPLORE:
             if seen:
                 # revisited node: bounce straight back the way we came
-                new = replace(
-                    state,
-                    mode=Mode.BACKTRACK,
-                    port_entered=pe,
-                    parent_ptr=pp,
-                    seen=True,
-                    round=nxt,
-                )
+                new = HelpingState(state.label, Mode.BACKTRACK, pe, pp, True, nxt)
                 return new, Move(pe), ()
             pp = pe
             effects = (HelpRecord(view.docked.label, state.label, pe),)
@@ -164,7 +159,7 @@ def helping_step(
             f"robot {state.label} at a free node without arbitration"
         )
     elif mutex_winner == state.label:
-        new = replace(state, port_entered=pe, parent_ptr=pp, seen=seen, round=nxt)
+        new = HelpingState(state.label, state.mode, pe, pp, seen, nxt)
         return settle(new), DOCK, ()
     else:
         # loser: a first visit at the fresh winner, whose records are blank;
@@ -174,10 +169,7 @@ def helping_step(
 
     pe = _advance(pe, view.degree)
     mode = Mode.BACKTRACK if pe == pp else Mode.EXPLORE
-    new = replace(
-        state, mode=mode, port_entered=pe, parent_ptr=pp, seen=seen, round=nxt
-    )
-    return new, Move(pe), effects
+    return HelpingState(state.label, mode, pe, pp, seen, nxt), Move(pe), effects
 
 
 def independent_step(
@@ -195,6 +187,8 @@ def independent_step(
             f"settled robot {state.label} has no active iterations"
         )
 
+    # successors are built positionally: (label, mode, port_entered, round,
+    # visited, stack)
     pe = state.port_entered
     if state.round > 0:
         pe = view.entry_port
@@ -214,7 +208,7 @@ def independent_step(
     else:
         if view.docked is not None and visited >> view.docked.label & 1:
             # revisited node: bounce straight back the way we came
-            new = replace(state, mode=Mode.BACKTRACK, port_entered=pe, round=nxt)
+            new = IndependentState(state.label, Mode.BACKTRACK, pe, nxt, visited, stack)
             return new, Move(pe), ()
         if view.docked is not None:
             marked = view.docked.label
@@ -224,8 +218,8 @@ def independent_step(
                     f"robot {state.label} at a free node without arbitration"
                 )
             if mutex_winner == state.label:
-                new = settle(replace(state, port_entered=pe, round=nxt))
-                return new, DOCK, ()
+                new = IndependentState(state.label, state.mode, pe, nxt, visited, stack)
+                return settle(new), DOCK, ()
             marked = mutex_winner
         # first visit: mark the docked (or freshly docking) robot, remember
         # the entry port as this node's parent pointer, take the next port
@@ -237,7 +231,4 @@ def independent_step(
     if pe == stack[-1]:
         mode = Mode.BACKTRACK
         stack = stack[:-1]
-    new = replace(
-        state, mode=mode, port_entered=pe, round=nxt, visited=visited, stack=stack
-    )
-    return new, Move(pe), ()
+    return IndependentState(state.label, mode, pe, nxt, visited, stack), Move(pe), ()

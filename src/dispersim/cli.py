@@ -28,8 +28,10 @@ from .engine import (
     SchedulerPolicy,
     SeededRandom,
     run,
-    trace_record_line,
 )
+# perfbench/spans.py times this binding by name, as it does the engine's
+# helping_*_step aliases; nothing in this module calls it
+from .engine import trace_record_line  # noqa: F401
 from .graph import (
     GraphError,
     InitialPlacement,
@@ -142,12 +144,13 @@ def trace_header(
     mutex: MutexPolicy,
     scheduler: SchedulerPolicy | None,
     safety_factor: int = DEFAULT_SAFETY_FACTOR,
-) -> dict:
-    """First record of a trace file: everything replay needs to re-execute."""
+) -> str:
+    """First line of a trace file, as compact JSON: everything replay needs
+    to re-execute."""
     if scheduler is not None:
         kind = next(name for name, policy in _SCHEDULERS.items() if isinstance(scheduler, policy))
         scheduler = {"kind": kind, **asdict(scheduler)}
-    return {
+    header = {
         "type": "config",
         "run_id": run_id,
         "algorithm": algorithm.value,
@@ -158,6 +161,7 @@ def trace_header(
         "safety_factor": safety_factor,
         "seed": seed,
     }
+    return json.dumps(header, separators=(",", ":"))
 
 
 def _conforms(value, kind) -> bool:
@@ -310,7 +314,7 @@ def _render(args: argparse.Namespace, reports: list[RunReport], summary: dict) -
 
 def _compare(event: int, line: str, replayed: str | None) -> None:
     """Raise _Divergence unless a trace line ('' past the end of the file)
-    holds the replayed record (None past the end of the run)."""
+    holds the replayed line (None past the end of the run)."""
     recorded = line.rstrip("\n") if line else None
     if recorded != replayed:
         raise _Divergence(
@@ -335,9 +339,9 @@ def replay(trace_path: str | Path) -> int:
     with trace:
         events = 0
 
-        def compare(record: dict) -> None:
+        def compare(line: str) -> None:
             nonlocal events
-            _compare(events, trace.readline(), trace_record_line(record))
+            _compare(events, trace.readline(), line)
             events += 1
 
         try:

@@ -7,7 +7,6 @@ trace replays bit-exactly.  There is no floating point anywhere here.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left
 from collections import OrderedDict
@@ -396,14 +395,14 @@ def apply_moves_single_lane(
 
 
 class JsonlTraceWriter:
-    """Writes trace records as compact JSON Lines, one record per line."""
+    """Writes trace lines to a JSON Lines file, one line per call."""
 
     def __init__(self, path) -> None:
         self.path = str(path)
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
 
-    def __call__(self, record: dict) -> None:
-        self._fh.write(trace_record_line(record) + "\n")
+    def __call__(self, line: str) -> None:
+        self._fh.write(line + "\n")
 
     def close(self) -> None:
         self._fh.close()
@@ -415,17 +414,7 @@ class JsonlTraceWriter:
         self.close()
 
 
-def trace_record_line(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"))
-
-
-def _action_dict(action) -> dict:
-    if isinstance(action, Move):
-        return {"type": "move", "port": action.port}
-    return {"type": "dock"}
-
-
-def _trace_record(
+def trace_record_line(
     event: int,
     rnd: int | None,
     robot: int,
@@ -435,22 +424,25 @@ def _trace_record(
     action,
     mutex: tuple[list[int], int] | None,
     effects: Sequence[HelpRecord],
-) -> dict:
-    record: dict = {"event": event}
-    if rnd is not None:
-        record["round"] = rnd
-    record["robot"] = robot
-    record["node"] = node
-    record["mode_before"] = mode_before.value
-    record["mode_after"] = mode_after.value
-    record["action"] = _action_dict(action)
-    record["mutex"] = (
-        None if mutex is None else {"contenders": mutex[0], "winner": mutex[1]}
+) -> str:
+    """One trace event as a line of compact JSON, without the newline: the
+    bytes json.dumps with compact separators would write, formatted directly.
+
+    Keys in order: event, round (synchronous engine only), robot, node,
+    mode_before, mode_after, action, mutex (null at a docked node), help.
+    """
+    head = f'{{"event":{event},' if rnd is None else f'{{"event":{event},"round":{rnd},'
+    act = '{"type":"dock"}'
+    if isinstance(action, Move):
+        act = f'{{"type":"move","port":{action.port}}}'
+    arb = "null"
+    if mutex is not None:
+        arb = f'{{"contenders":[{",".join(map(str, mutex[0]))}],"winner":{mutex[1]}}}'
+    help_ = ",".join(f"[{e.docked_label},{e.visitor_label},{e.entry_port}]" for e in effects)
+    return (
+        f'{head}"robot":{robot},"node":{node},"mode_before":"{mode_before.value}",'
+        f'"mode_after":"{mode_after.value}","action":{act},"mutex":{arb},"help":[{help_}]}}'
     )
-    record["help"] = [
-        [e.docked_label, e.visitor_label, e.entry_port] for e in effects
-    ]
-    return record
 
 
 def _coerce_placement(
@@ -484,7 +476,7 @@ def _build_report(
     algorithm: Algorithm,
     rounds_elapsed: int | None,
     events_elapsed: int | None,
-    trace_sink: Callable[[dict], None] | None,
+    trace_sink: Callable[[str], None] | None,
 ) -> RunReport:
     k, edges, delta = world.k, world.graph.edge_count, world.graph.max_degree
     if world.helping:
@@ -525,7 +517,7 @@ def run_sync(
     placement,
     algorithm: Algorithm | str = Algorithm.HELPING_SYNC,
     mutex_policy: MutexPolicy = MutexPolicy.LOWEST_LABEL,
-    trace_sink: Callable[[dict], None] | None = None,
+    trace_sink: Callable[[str], None] | None = None,
 ) -> RunReport:
     """Synchronous engine: rounds 0..4m-2(n-1), one loop body per robot per
     round, computed from the pre-round snapshot.
@@ -573,12 +565,9 @@ def run_sync(
 
         if trace_sink is not None:
             for lab, node, before, state, action, effects, mutex in results:
-                trace_sink(
-                    _trace_record(
-                        event_no, rnd, lab, node, before, state.mode,
-                        action, mutex, effects,
-                    )
-                )
+                trace_sink(trace_record_line(
+                    event_no, rnd, lab, node, before, state.mode, action, mutex, effects
+                ))
                 event_no += 1
 
     return _build_report(world, algorithm, rounds_elapsed, None, trace_sink)
@@ -590,7 +579,7 @@ def run_async(
     algorithm: Algorithm | str = Algorithm.INDEPENDENT_ASYNC,
     scheduler_policy: SchedulerPolicy = RoundRobin(),
     mutex_policy: MutexPolicy = MutexPolicy.LOWEST_LABEL,
-    trace_sink: Callable[[dict], None] | None = None,
+    trace_sink: Callable[[str], None] | None = None,
     safety_factor: int = DEFAULT_SAFETY_FACTOR,
 ) -> RunReport:
     """Asynchronous discrete-event engine.
@@ -626,12 +615,9 @@ def run_async(
             world.move_robot(lab, action.port)
 
         if trace_sink is not None:
-            trace_sink(
-                _trace_record(
-                    event, None, lab, node, before, state.mode,
-                    action, mutex, effects,
-                )
-            )
+            trace_sink(trace_record_line(
+                event, None, lab, node, before, state.mode, action, mutex, effects
+            ))
         event += 1
 
     return _build_report(world, algorithm, None, event, trace_sink)
@@ -643,7 +629,7 @@ def run(
     algorithm: Algorithm | str,
     scheduler_policy: SchedulerPolicy | None = None,
     mutex_policy: MutexPolicy = MutexPolicy.LOWEST_LABEL,
-    trace_sink: Callable[[dict], None] | None = None,
+    trace_sink: Callable[[str], None] | None = None,
     safety_factor: int = DEFAULT_SAFETY_FACTOR,
 ) -> RunReport:
     """Dispatch to the engine the algorithm belongs to."""

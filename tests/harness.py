@@ -1,9 +1,12 @@
-"""Shared test machinery: seeded random instances and the docking-disabled
-single-robot traversal harness used for DFS-oracle equivalence."""
+"""Shared test machinery: seeded random instances, a trace sink that parses
+what it receives, and the docking-disabled single-robot traversal harness
+used for DFS-oracle equivalence."""
 
 from __future__ import annotations
 
+import json
 import random
+from typing import Callable
 
 from dispersim.agents import HelpingState, IndependentState
 from dispersim.algorithms import (
@@ -16,6 +19,11 @@ from dispersim.algorithms import (
 from dispersim.graph import InitialPlacement, PortLabeledGraph, build_graph, generate
 
 STEP_FUNCTIONS = {"helping": helping_step, "independent": independent_step}
+
+
+def record_sink(records: list[dict]) -> Callable[[str], None]:
+    """A trace sink that parses each line it receives into ``records``."""
+    return lambda line: records.append(json.loads(line))
 
 
 def random_connected_instance(

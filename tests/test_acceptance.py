@@ -28,7 +28,7 @@ from dispersim.engine import (
 )
 from dispersim.graph import build_graph, generate
 
-from harness import random_connected_instance, traversal_without_docking
+from harness import random_connected_instance, record_sink, traversal_without_docking
 import reference_traces as ref
 
 GRID_SEED = 20250810
@@ -201,7 +201,7 @@ def test_criterion_7_determinism_and_replay(grid, tmp_path):
 
 def _collect(graph, placement, alg):
     records = []
-    run(graph, placement, alg, trace_sink=records.append)
+    run(graph, placement, alg, trace_sink=record_sink(records))
     return records
 
 

@@ -177,12 +177,16 @@ def test_replay_detects_tampered_event(tmp_path, capsys):
     path = trace / "run_000.jsonl"
     lines = path.read_text().splitlines()
     idx = 3  # tamper one event record
-    record = json.loads(lines[idx])
+    original = lines[idx]
+    record = json.loads(original)
     record["node"] = record["node"] + 1
     lines[idx] = json.dumps(record, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     assert run_cli("replay", str(path)) == 1
-    assert f"divergence at event {idx - 1}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"divergence at event {idx - 1}" in err
+    assert f"\n  recorded: {lines[idx]}\n" in err
+    assert f"\n  replayed: {original}\n" in err
 
 
 def test_replay_rejects_malformed_trace(tmp_path, capsys):

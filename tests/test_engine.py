@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersim import engine
+from dispersim import cli, engine
 from dispersim.agents import HelpingState, Mode, memory_bits_helping, memory_bits_independent
 from dispersim.algorithms import (
     DockedHandle,
@@ -29,11 +29,10 @@ from dispersim.engine import (
     run,
     run_async,
     run_sync,
-    trace_record_line,
 )
-from dispersim.graph import build_graph, generate, relabel_nodes
+from dispersim.graph import InitialPlacement, build_graph, generate, relabel_nodes
 
-from harness import random_connected_instance
+from harness import random_connected_instance, record_sink
 
 TRIANGLE = build_graph([(0, 1), (0, 2), (1, 2)])
 
@@ -157,7 +156,7 @@ def test_seeded_scheduler_reruns_are_trace_identical():
             scheduler_policy=SeededRandom(seed=13),
             trace_sink=records.append,
         )
-        lines.append([trace_record_line(r) for r in records])
+        lines.append(records)
     assert lines[0] == lines[1]
 
 
@@ -186,7 +185,7 @@ def test_absentee_winner_settles_during_losers_event():
         [0, 0],
         Algorithm.HELPING_ASYNC,
         scheduler_policy=AdversarialStalling(weights=(2, 1)),
-        trace_sink=records.append,
+        trace_sink=record_sink(records),
     )
     assert report.dispersed
     first = records[0]
@@ -240,7 +239,7 @@ def test_schedulers_honor_fairness_bound(policy_cls, kwargs, graph, k, bound):
         [0] * k,
         Algorithm.INDEPENDENT_ASYNC,
         scheduler_policy=policy_cls(fairness_bound=bound, **kwargs),
-        trace_sink=records.append,
+        trace_sink=record_sink(records),
     )
     assert report.dispersed
     _audit_fairness(records, report, bound)
@@ -251,7 +250,7 @@ def test_round_robin_gap_is_within_default_bound():
     records = []
     report = run_async(
         g, [0] * 7, Algorithm.HELPING_ASYNC, scheduler_policy=RoundRobin(),
-        trace_sink=records.append,
+        trace_sink=record_sink(records),
     )
     assert report.dispersed
     _audit_fairness(records, report, 10 * 7)
@@ -500,7 +499,7 @@ def test_report_peak_memory_matches_per_step_observer(monkeypatch, alg, mutex, g
     peaks = _observe_peak_memory(monkeypatch, graph, k)
     records = []
     scheduler = None if alg.is_sync else SeededRandom(seed=4)
-    report = run(graph, placement, alg, scheduler, mutex, trace_sink=records.append)
+    report = run(graph, placement, alg, scheduler, mutex, trace_sink=record_sink(records))
     assert report.dispersed
     assert [r.peak_memory_bits for r in report.robots] == [peaks[lab] for lab in range(1, k + 1)]
     if not alg.is_sync and mutex is MutexPolicy.EARLIEST_ARRIVAL and len(set(placement)) == 1:
@@ -531,9 +530,9 @@ def test_relabeling_nodes_yields_identical_traces_up_to_relabeling(alg, kwargs):
 
     original, relabeled = [], []
     run(g, placement, alg, mutex_policy=MutexPolicy.EARLIEST_ARRIVAL,
-        trace_sink=original.append, **kwargs)
+        trace_sink=record_sink(original), **kwargs)
     run(h, moved, alg, mutex_policy=MutexPolicy.EARLIEST_ARRIVAL,
-        trace_sink=relabeled.append, **kwargs)
+        trace_sink=record_sink(relabeled), **kwargs)
 
     assert len(original) == len(relabeled)
     for a, b in zip(original, relabeled):
@@ -567,9 +566,65 @@ def test_random_instances_disperse_with_valid_invariants(seed):
             assert depth <= k - 1
 
 
-def test_trace_lines_are_compact_json():
-    records = []
-    run_sync(TRIANGLE, [0, 0, 0], Algorithm.HELPING_SYNC, trace_sink=records.append)
-    line = trace_record_line(records[0])
-    assert " " not in line
-    assert json.loads(line) == records[0]
+# the trace schema's key order for a header line and for an event line
+# ("round" in synchronous traces only)
+HEADER_KEYS = (
+    "type", "run_id", "algorithm", "graph", "placement", "mutex", "scheduler",
+    "safety_factor", "seed",
+)
+EVENT_KEYS = (
+    "event", "round", "robot", "node", "mode_before", "mode_after", "action",
+    "mutex", "help",
+)
+
+
+def _reencode_header(line: str) -> str:
+    header = json.loads(line)
+    return json.dumps({key: header[key] for key in HEADER_KEYS}, separators=(",", ":"))
+
+
+def _reencode_event(line: str, sync: bool) -> str:
+    """The schema's encoding of a parsed event line: its fields rebuilt in
+    schema order, top level and nested, then compact JSON."""
+    record = json.loads(line)
+    action, mutex = record["action"], record["mutex"]
+    record["action"] = {"type": action["type"]}
+    if action["type"] == "move":
+        record["action"]["port"] = action["port"]
+    if mutex is not None:
+        record["mutex"] = {"contenders": mutex["contenders"], "winner": mutex["winner"]}
+    keys = EVENT_KEYS if sync else tuple(k for k in EVENT_KEYS if k != "round")
+    return json.dumps({key: record[key] for key in keys}, separators=(",", ":"))
+
+
+def test_trace_lines_are_compact_json(tmp_path):
+    line4 = generate("line", 4)
+    cases = [
+        (Algorithm.HELPING_SYNC, TRIANGLE, (0, 0, 0), None),
+        (Algorithm.HELPING_ASYNC, line4, (0, 0, 0, 0), AdversarialStalling(weights=(4, 1, 2, 3))),
+        (Algorithm.INDEPENDENT_SYNC, line4, (1, 1, 1), None),
+        (
+            Algorithm.INDEPENDENT_ASYNC, generate("gnm", 9, 14, seed=5), (1, 1, 4, 7),
+            SeededRandom(seed=13),
+        ),
+    ]
+    events = []
+    for i, (alg, graph, placement, scheduler) in enumerate(cases):
+        path = tmp_path / f"run_{i}.jsonl"
+        mutex = MutexPolicy.EARLIEST_ARRIVAL
+        with engine.JsonlTraceWriter(path) as sink:
+            sink(cli.trace_header(i, 0, alg, graph, InitialPlacement(placement), mutex, scheduler))
+            run(graph, placement, alg, scheduler, mutex, trace_sink=sink)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        header, *lines = text[:-1].split("\n")
+        assert header == _reencode_header(header)
+        for line in lines:
+            assert line == _reencode_event(line, alg.is_sync)
+        events += map(json.loads, lines)
+    # every shape each field takes is among the lines checked
+    assert {e["action"]["type"] for e in events} == {"move", "dock"}
+    assert any(e["mutex"] is None for e in events)
+    assert any(e["mutex"] and len(e["mutex"]["contenders"]) > 1 for e in events)
+    assert any(e["help"] == [] for e in events)
+    assert any(entry[2] == -1 for e in events for entry in e["help"])

@@ -25,7 +25,6 @@ from dispersim.engine import (
     RoundRobin,
     SeededRandom,
     run,
-    trace_record_line,
 )
 from dispersim.graph import generate
 
@@ -74,17 +73,17 @@ def _runs(key: str, kind: str) -> tuple:
         for mutex in MutexPolicy:
             schedulers = (None,) if algorithm.is_sync else SCHEDULERS
             for scheduler in schedulers:
-                records: list[dict] = []
-                report = run(graph, placement, algorithm, scheduler, mutex, records.append)
-                out.append((algorithm, mutex, records, report))
+                lines: list[str] = []
+                report = run(graph, placement, algorithm, scheduler, mutex, lines.append)
+                out.append((algorithm, mutex, lines, report))
     return tuple(out)
 
 
 def _digest(key: str, kind: str) -> str:
     h = hashlib.sha256()
-    for _, _, records, report in _runs(key, kind):
-        for record in records:
-            h.update(trace_record_line(record).encode())
+    for _, _, lines, report in _runs(key, kind):
+        for line in lines:
+            h.update(line.encode())
             h.update(b"\n")
         h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
         h.update(b"\n")
@@ -106,11 +105,11 @@ def test_grid_settles_winners_in_absentia():
     the winner had not acted before."""
     settles = at_round_zero = 0
     for key in GRAPHS:
-        for algorithm, mutex, records, report in _runs(key, "colocated"):
+        for algorithm, mutex, lines, report in _runs(key, "colocated"):
             if algorithm.is_sync or mutex is not MutexPolicy.EARLIEST_ARRIVAL:
                 continue
             acted: set[int] = set()
-            for record in records:
+            for record in map(json.loads, lines):
                 winner = record["mutex"] and record["mutex"]["winner"]
                 if winner and winner != record["robot"]:
                     settles += 1
