@@ -1,7 +1,8 @@
 """Per-robot state for both algorithm families, plus memory accounting.
 
-States are small immutable values; the engine owns every mutation point,
-including the visitor records a docked helping robot keeps.  Memory is
+States are immutable named tuples, cheap to build on every step; the engine
+owns every mutation point, including the visitor records a docked helping
+robot keeps.  Memory is
 accounted by the closed-form bit formulas, not by an encoding, because the
 claims being verified are bounds.  A helping robot's bits depend only on
 whether it has settled and an independent robot's only on its stack depth, so
@@ -10,8 +11,8 @@ the engine evaluates them once per robot when it builds the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "Mode",
@@ -31,8 +32,7 @@ class Mode(Enum):
     SETTLED = "settled"
 
 
-@dataclass(frozen=True, slots=True)
-class HelpingState:
+class HelpingState(NamedTuple):
     """Robot state for the helping family.
 
     Once docked, the robot also keeps a visitor record per label (first-visit
@@ -48,8 +48,7 @@ class HelpingState:
     round: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class IndependentState:
+class IndependentState(NamedTuple):
     """Robot state for the independent family: own visited bitset (bit j set
     once the robot met docked robot j) plus a stack of entry ports acting as
     parent pointers back to the origin node."""
@@ -68,7 +67,7 @@ def settle(
     """The absorbing settle transition of either family."""
     if state.mode is Mode.SETTLED:
         raise ValueError(f"robot {state.label} is already settled")
-    return replace(state, mode=Mode.SETTLED)
+    return state._replace(mode=Mode.SETTLED)
 
 
 def port_value_bits(max_degree: int) -> int:

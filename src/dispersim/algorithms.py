@@ -17,6 +17,7 @@ from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agents import HelpingState, IndependentState, Mode, settle
 
@@ -39,8 +40,7 @@ class SimulationInvariantError(RuntimeError):
     """A run reached a state the model forbids; indicates a transcription bug."""
 
 
-@dataclass(frozen=True, slots=True)
-class DockedHandle:
+class DockedHandle(NamedTuple):
     """What a docked robot communicates to the viewing robot.
 
     ``visited_self`` / ``entry_port_self`` are the viewer's own slots in the
@@ -53,15 +53,13 @@ class DockedHandle:
     entry_port_self: int = -1
 
 
-@dataclass(frozen=True, slots=True)
-class LocalView:
+class LocalView(NamedTuple):
     degree: int
     docked: DockedHandle | None
     entry_port: int
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(NamedTuple):
     port: int
 
 
@@ -75,8 +73,7 @@ Action = Move | Dock
 DOCK = Dock()
 
 
-@dataclass(frozen=True, slots=True)
-class HelpRecord:
+class HelpRecord(NamedTuple):
     """First-visit record to apply at a docked robot: set
     visited[visitor] = 1 and entry_port[visitor] = entry_port."""
 

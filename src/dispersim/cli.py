@@ -211,13 +211,18 @@ def _run_arguments(line: str) -> dict:
     }
 
 
+def _cannot_write(path: Path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def run_experiment(args: argparse.Namespace) -> int:
     """Execute every repetition of a parsed `run` command line; returns the
     process exit status.
 
     0: every run dispersed and passed every bound check.
     1: some run failed a check (a pointer to it goes to stderr).
-    2: the configuration is invalid.
+    2: the configuration is invalid, or a report or trace cannot be written.
     """
     try:
         _check_args(args)
@@ -230,7 +235,10 @@ def run_experiment(args: argparse.Namespace) -> int:
     reports: list[RunReport] = []
     failures: list[tuple[int, str | None]] = []
     if args.trace is not None:
-        args.trace.mkdir(parents=True, exist_ok=True)
+        try:
+            args.trace.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write(args.trace, exc)
 
     for rep in range(args.reps):
         rep_seed = args.seed + rep
@@ -244,7 +252,11 @@ def run_experiment(args: argparse.Namespace) -> int:
 
         sink = None
         if args.trace is not None:
-            sink = JsonlTraceWriter(args.trace / f"run_{rep:03d}.jsonl")
+            path = args.trace / f"run_{rep:03d}.jsonl"
+            try:
+                sink = JsonlTraceWriter(path)
+            except OSError as exc:
+                return _cannot_write(path, exc)
             sink(trace_header(rep, rep_seed, algorithm, graph, placement, mutex, scheduler))
         try:
             report = run(
@@ -273,8 +285,11 @@ def run_experiment(args: argparse.Namespace) -> int:
     }
     document = _render(args, reports, summary)
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(document, encoding="utf-8", newline="\n")
+        try:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
+            args.out.write_text(document, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     else:
         sys.stdout.write(document)
     print(json.dumps({"summary": summary}, separators=(",", ":")), file=sys.stderr)

@@ -257,6 +257,8 @@ class WorldState:
         # a docked helping robot's (visited, entry_port) visitor records,
         # k+1 slots each, indexed by visitor label; None before docking
         self.records: list[tuple[list[bool], list[int]] | None] = [None] * k
+        # the handle an independent visitor sees at docked robot i (index i-1)
+        self.handles = [DockedHandle(lab) for lab in range(1, k + 1)]
         # ascending labels; robots only ever leave it
         self.unsettled: list[int] = list(range(1, k + 1))
         self.pending_entry: list[int] = [-1] * k
@@ -285,15 +287,11 @@ class WorldState:
         if docked_lab is not None:
             records = self.records[docked_lab - 1]
             if records is None:
-                handle = DockedHandle(label=docked_lab)
+                handle = self.handles[docked_lab - 1]
             else:
                 visited, entry_port = records
                 handle = DockedHandle(docked_lab, visited[lab], entry_port[lab])
-        return LocalView(
-            degree=self.graph.degree(node),
-            docked=handle,
-            entry_port=self.pending_entry[lab - 1],
-        )
+        return LocalView(len(self.graph.ports[node]), handle, self.pending_entry[lab - 1])
 
     def contenders_at(self, node: int) -> list[Contender]:
         return [

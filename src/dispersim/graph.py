@@ -342,6 +342,13 @@ def graph_to_text(g: PortLabeledGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphError(f"bad integer {token!r} in line {line!r}") from None
+
+
 def graph_from_text(text: str) -> PortLabeledGraph:
     """Parse the `graph_to_text` format; a missing port block means canonical."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -350,10 +357,7 @@ def graph_from_text(text: str) -> PortLabeledGraph:
     head = lines[0].split()
     if len(head) != 2:
         raise GraphError(f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GraphError(f"bad header {lines[0]!r}") from exc
+    n, m = _int(head[0], lines[0]), _int(head[1], lines[0])
     if len(lines) < 1 + m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -361,21 +365,23 @@ def graph_from_text(text: str) -> PortLabeledGraph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((_int(parts[0], ln), _int(parts[1], ln)))
     port_spec: dict[int, list[int]] = {}
     for ln in lines[1 + m :]:
         if ":" not in ln:
             raise GraphError(f"bad port line {ln!r}")
         node_part, _, rest = ln.partition(":")
-        v = int(node_part)
+        v = _int(node_part, ln)
+        if v in port_spec:
+            raise GraphError(f"second port line for node {v}: {ln!r}")
         order = []
         for token in rest.split():
             p_str, sep, u_str = token.partition("->")
             if sep != "->":
                 raise GraphError(f"bad port entry {token!r} on node {v}")
-            if int(p_str) != len(order):
+            if _int(p_str, ln) != len(order):
                 raise GraphError(f"ports for node {v} must be listed in order")
-            order.append(int(u_str))
+            order.append(_int(u_str, ln))
         port_spec[v] = order
     ports: str | dict[int, list[int]] = port_spec if port_spec else "canonical"
     return build_graph(edges, ports=ports, node_count=n)

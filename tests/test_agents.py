@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from dispersim.agents import (
@@ -52,7 +50,7 @@ def test_independent_memory_examples():
 def test_settle_is_absorbing(state):
     settled = settle(state)
     assert settled.mode is Mode.SETTLED
-    assert settled == replace(state, mode=Mode.SETTLED)
+    assert settled == state._replace(mode=Mode.SETTLED)
     with pytest.raises(ValueError):
         settle(settled)
 

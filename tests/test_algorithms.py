@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from copy import deepcopy
 
 import pytest
 
@@ -44,7 +44,7 @@ def test_lone_independent_robot_docks_immediately():
 
 
 def test_seen_node_triggers_backtrack_through_entry_port():
-    state = replace(HelpingState(2), round=4)
+    state = HelpingState(2)._replace(round=4)
     docked = DockedHandle(label=1, visited_self=True, entry_port_self=0)
     new, action, effects = helping_step(state, view(3, docked, entry=2), None)
     assert new.mode is Mode.BACKTRACK
@@ -54,7 +54,7 @@ def test_seen_node_triggers_backtrack_through_entry_port():
 
 
 def test_first_visit_records_entry_and_advances():
-    state = replace(HelpingState(2), round=4)
+    state = HelpingState(2)._replace(round=4)
     docked = DockedHandle(label=1, visited_self=False, entry_port_self=-1)
     new, action, effects = helping_step(state, view(3, docked, entry=1), None)
     assert new.mode is Mode.EXPLORE
@@ -65,7 +65,7 @@ def test_first_visit_records_entry_and_advances():
 
 def test_first_visit_wraps_to_parent_and_backtracks():
     # advancing from the entry port on a degree-1 node returns to it
-    state = replace(HelpingState(2), round=4)
+    state = HelpingState(2)._replace(round=4)
     docked = DockedHandle(label=1, visited_self=False, entry_port_self=-1)
     new, action, effects = helping_step(state, view(1, docked, entry=0), None)
     assert new.mode is Mode.BACKTRACK
@@ -77,7 +77,7 @@ def test_first_visit_wraps_to_parent_and_backtracks():
 
 
 def test_loser_records_first_visit_at_fresh_winner():
-    state = replace(HelpingState(3), round=2)
+    state = HelpingState(3)._replace(round=2)
     new, action, effects = helping_step(state, view(2, entry=1), mutex_winner=2)
     assert effects == (HelpRecord(2, 3, 1),)
     assert action == Move(0)  # (1 + 1) mod 2
@@ -87,7 +87,7 @@ def test_loser_records_first_visit_at_fresh_winner():
 
 
 def test_independent_loser_marks_winner_and_pushes():
-    state = replace(IndependentState(3), round=2)
+    state = IndependentState(3)._replace(round=2)
     new, action, _ = independent_step(state, view(2, entry=1), mutex_winner=2)
     assert new.visited == 1 << 2
     assert new.stack == (1,)
@@ -99,7 +99,7 @@ def test_independent_loser_marks_winner_and_pushes():
 
 
 def test_independent_first_visit_pushes_and_advances():
-    state = replace(IndependentState(2), round=3)
+    state = IndependentState(2)._replace(round=3)
     new, action, _ = independent_step(
         state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
     )
@@ -110,7 +110,7 @@ def test_independent_first_visit_pushes_and_advances():
 
 
 def test_independent_leaf_pushes_then_pops():
-    state = replace(IndependentState(2), round=3)
+    state = IndependentState(2)._replace(round=3)
     new, action, _ = independent_step(
         state, view(1, DockedHandle(label=1), entry=0), mutex_winner=None
     )
@@ -120,8 +120,8 @@ def test_independent_leaf_pushes_then_pops():
 
 
 def test_independent_revisit_bounces_back():
-    state = replace(IndependentState(2), round=3)
-    state = replace(state, visited=1 << 1)
+    state = IndependentState(2)._replace(round=3)
+    state = state._replace(visited=1 << 1)
     new, action, _ = independent_step(
         state, view(3, DockedHandle(label=1), entry=2), mutex_winner=None
     )
@@ -131,8 +131,8 @@ def test_independent_revisit_bounces_back():
 
 
 def test_independent_backtrack_resumes_exploring_when_port_differs():
-    state = replace(
-        IndependentState(2), round=3, mode=Mode.BACKTRACK, stack=(-1,)
+    state = IndependentState(2)._replace(
+        round=3, mode=Mode.BACKTRACK, stack=(-1,)
     )
     new, action, _ = independent_step(
         state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
@@ -143,8 +143,8 @@ def test_independent_backtrack_resumes_exploring_when_port_differs():
 
 
 def test_independent_backtrack_pops_on_parent_port():
-    state = replace(
-        IndependentState(2), round=3, mode=Mode.BACKTRACK, stack=(-1, 1)
+    state = IndependentState(2)._replace(
+        round=3, mode=Mode.BACKTRACK, stack=(-1, 1)
     )
     new, action, _ = independent_step(
         state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
@@ -187,18 +187,18 @@ def test_step_rejects_settled_robot(state, step):
 
 
 def test_backtrack_into_free_node_is_hard_failure():
-    helping = replace(HelpingState(1), mode=Mode.BACKTRACK, round=2)
+    helping = HelpingState(1)._replace(mode=Mode.BACKTRACK, round=2)
     with pytest.raises(SimulationInvariantError):
         helping_step(helping, view(2, entry=0), mutex_winner=1)
-    independent = replace(
-        IndependentState(1), mode=Mode.BACKTRACK, round=2, stack=(-1,)
+    independent = IndependentState(1)._replace(
+        mode=Mode.BACKTRACK, round=2, stack=(-1,)
     )
     with pytest.raises(SimulationInvariantError):
         independent_step(independent, view(2, entry=0), mutex_winner=1)
 
 
 def test_backtrack_with_empty_stack_is_hard_failure():
-    state = replace(IndependentState(1), mode=Mode.BACKTRACK, round=2)
+    state = IndependentState(1)._replace(mode=Mode.BACKTRACK, round=2)
     with pytest.raises(SimulationInvariantError):
         independent_step(state, view(2, DockedHandle(label=2), entry=0), None)
 
@@ -209,6 +209,44 @@ def test_free_node_without_arbitration_is_hard_failure():
         helping_step(state, view(2), mutex_winner=None)
 
 
+# --- purity ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value,field",
+    [
+        (HelpingState(1), "mode"),
+        (IndependentState(1), "stack"),
+        (LocalView(2, None, -1), "degree"),
+        (DockedHandle(1), "visited_self"),
+        (Move(0), "port"),
+        (HelpRecord(1, 2, 0), "entry_port"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_step_values_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+@pytest.mark.parametrize(
+    "state,step",
+    [
+        (HelpingState(2, Mode.EXPLORE, 0, 1, False, 4), helping_step),
+        (IndependentState(2, Mode.EXPLORE, 0, 3, 0b1000, (1, 0)), independent_step),
+    ],
+    ids=["helping", "independent"],
+)
+def test_steps_leave_their_inputs_unchanged(state, step):
+    # a first visit at a docked node: the step records a help entry or pushes
+    # onto the stack, and must do so in its successor only
+    v = view(3, DockedHandle(1), entry=1)
+    before = deepcopy((state, v))
+    new, _, _ = step(state, v, None)
+    assert (state, v) == before
+    assert new != state
+
+
 # --- port arithmetic -------------------------------------------------------
 
 
@@ -217,7 +255,7 @@ def test_free_node_without_arbitration_is_hard_failure():
 def test_moves_stay_in_port_range(degree, entry):
     if entry >= degree:
         pytest.skip("entry port outside degree")
-    state = replace(HelpingState(2), round=0 if entry == -1 else 3)
+    state = HelpingState(2)._replace(round=0 if entry == -1 else 3)
     new, action, _ = helping_step(state, view(degree, entry=entry), mutex_winner=9)
     assert isinstance(action, Move)
     assert 0 <= action.port < degree

@@ -154,6 +154,21 @@ def test_stdout_output_when_no_out_file(capsys):
     assert doc["summary"]["runs"] == 1
 
 
+@pytest.mark.parametrize("option", ["--out", "--trace"])
+def test_unwritable_output_path_is_a_diagnostic(tmp_path, capsys, option):
+    # --out names a directory, --trace a file: neither can be written
+    target = tmp_path / "target"
+    if option == "--out":
+        target.mkdir()
+    else:
+        target.write_text("")
+    assert run_cli(*BASE, option, str(target)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    if option == "--trace":
+        assert "summary" not in err  # rejected before the first run
+
+
 def test_replay_fresh_trace_is_identical(tmp_path, capsys):
     trace = tmp_path / "traces"
     run_cli(
@@ -230,6 +245,10 @@ ADVERSARIAL_RUN = (
             lambda h: {**h, "algorithm": "independent-sync"}, id="scheduler-on-sync-algorithm"
         ),
         pytest.param(lambda h: [1, 2], id="not-a-record"),
+        pytest.param(
+            lambda h: {**h, "graph": h["graph"] + h["graph"].splitlines()[-1] + "\n"},
+            id="graph-with-a-second-port-line",
+        ),
     ],
 )
 def test_replay_rejects_malformed_header(tmp_path, capsys, edit):

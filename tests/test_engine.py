@@ -411,15 +411,13 @@ def test_help_record_to_robot_without_records_is_hard_failure(helping, target):
 
 @pytest.mark.parametrize("helping", [True, False])
 def test_settle_in_absentia_refreshes_entry_port_like_own_iteration(helping):
-    from dataclasses import replace
-
     from dispersim.agents import Mode
     from dispersim.algorithms import independent_step
 
     g = generate("line", 3)
     world = WorldState(g, [0, 0], helping=helping)
     # robot 1 has acted once and just arrived at node 1 through port 0
-    world.apply_state(1, replace(world.states[0], round=1, port_entered=5))
+    world.apply_state(1, world.states[0]._replace(round=1, port_entered=5))
     world.move_robot(1, 0)
     step = helping_step if helping else independent_step
     world.settle_in_absentia(1, 1, 7, step)

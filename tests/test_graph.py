@@ -188,6 +188,28 @@ def test_text_rejects_malformed_input():
         graph_from_text("2 1\n0 1\n0: 1->x\n")
 
 
+def test_text_rejects_a_second_port_line_for_a_node():
+    text = "3 3\n0 1\n0 2\n1 2\n0: 0->1 1->2\n0: 0->2 1->1\n"
+    with pytest.raises(GraphError, match="second port line for node 0"):
+        graph_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("3 x\n", "3 x"),
+        ("3 2\n0 1\n1 y\n", "1 y"),
+        ("3 2\n0 1\n1 2\nz: 0->1\n", "z: 0->1"),
+        ("3 2\n0 1\n1 2\n1: 0->0 q->2\n", "1: 0->0 q->2"),
+        ("3 2\n0 1\n1 2\n1: 0->0 1->w\n", "1: 0->0 1->w"),
+    ],
+    ids=["header", "edge", "node", "port", "neighbor"],
+)
+def test_text_names_the_line_of_a_non_integer_token(text, line):
+    with pytest.raises(GraphError, match=f"in line '{line}'"):
+        graph_from_text(text)
+
+
 def test_relabel_preserves_port_structure():
     g = build_graph(TRIANGLE, ports="random", seed=5)
     perm = [2, 0, 1]
