@@ -239,6 +239,14 @@ def run_experiment(args: argparse.Namespace) -> int:
             args.trace.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             return _cannot_write(args.trace, exc)
+    if args.out is not None:
+        # refuse an unwritable report before the first run; append mode
+        # leaves an existing file as it is until the report replaces it
+        try:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
 
     for rep in range(args.reps):
         rep_seed = args.seed + rep
@@ -286,7 +294,6 @@ def run_experiment(args: argparse.Namespace) -> int:
     document = _render(args, reports, summary)
     if args.out is not None:
         try:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
             args.out.write_text(document, encoding="utf-8", newline="\n")
         except OSError as exc:
             return _cannot_write(args.out, exc)

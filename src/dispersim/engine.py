@@ -50,6 +50,7 @@ __all__ = [
     "run_async",
     "run",
     "JsonlTraceWriter",
+    "mutex_json",
     "trace_record_line",
     "DEFAULT_SAFETY_FACTOR",
 ]
@@ -412,6 +413,13 @@ class JsonlTraceWriter:
         self.close()
 
 
+def mutex_json(contenders: Sequence[int], winner: int) -> str:
+    """One arbitration as the JSON of a trace event's "mutex" value; every
+    robot at the node reuses it, and an event at a docked node writes
+    ``null`` instead."""
+    return f'{{"contenders":[{",".join(map(str, contenders))}],"winner":{winner}}}'
+
+
 def trace_record_line(
     event: int,
     rnd: int | None,
@@ -420,26 +428,26 @@ def trace_record_line(
     mode_before: Mode,
     mode_after: Mode,
     action,
-    mutex: tuple[list[int], int] | None,
+    mutex: str,
     effects: Sequence[HelpRecord],
 ) -> str:
     """One trace event as a line of compact JSON, without the newline: the
     bytes json.dumps with compact separators would write, formatted directly.
 
     Keys in order: event, round (synchronous engine only), robot, node,
-    mode_before, mode_after, action, mutex (null at a docked node), help.
+    mode_before, mode_after, action, mutex (``mutex_json`` of the
+    arbitration, or "null" at a docked node), help.
     """
     head = f'{{"event":{event},' if rnd is None else f'{{"event":{event},"round":{rnd},'
     act = '{"type":"dock"}'
     if isinstance(action, Move):
         act = f'{{"type":"move","port":{action.port}}}'
-    arb = "null"
-    if mutex is not None:
-        arb = f'{{"contenders":[{",".join(map(str, mutex[0]))}],"winner":{mutex[1]}}}'
-    help_ = ",".join(f"[{e.docked_label},{e.visitor_label},{e.entry_port}]" for e in effects)
+    help_ = ""
+    if effects:
+        help_ = ",".join(f"[{e.docked_label},{e.visitor_label},{e.entry_port}]" for e in effects)
     return (
         f'{head}"robot":{robot},"node":{node},"mode_before":"{mode_before.value}",'
-        f'"mode_after":"{mode_after.value}","action":{act},"mutex":{arb},"help":[{help_}]}}'
+        f'"mode_after":"{mode_after.value}","action":{act},"mutex":{mutex},"help":[{help_}]}}'
     )
 
 
@@ -562,9 +570,11 @@ def run_sync(
         apply_moves_single_lane(world, moves)
 
         if trace_sink is not None:
+            arbitrations = {node: mutex_json(*mutex) for node, mutex in winners.items()}
             for lab, node, before, state, action, effects, mutex in results:
                 trace_sink(trace_record_line(
-                    event_no, rnd, lab, node, before, state.mode, action, mutex, effects
+                    event_no, rnd, lab, node, before, state.mode, action,
+                    arbitrations.get(node, "null"), effects,
                 ))
                 event_no += 1
 
@@ -614,7 +624,8 @@ def run_async(
 
         if trace_sink is not None:
             trace_sink(trace_record_line(
-                event, None, lab, node, before, state.mode, action, mutex, effects
+                event, None, lab, node, before, state.mode, action,
+                "null" if mutex is None else mutex_json(*mutex), effects,
             ))
         event += 1
 

@@ -67,41 +67,48 @@ class PortLabeledGraph:
         return max(len(t) for t in self.ports)
 
     def edges(self) -> list[tuple[int, int]]:
-        """Undirected edge list as (u, v) pairs with u < v, sorted."""
-        out = set()
-        for v, table in enumerate(self.ports):
-            for u, _ in table:
-                out.add((min(u, v), max(u, v)))
-        return sorted(out)
+        """Undirected edge list as (u, v) pairs with u < v, sorted: each edge
+        listed from its lower endpoint, neighbors ascending per node."""
+        return [(v, u) for v, table in enumerate(self.ports) for u, _ in sorted(table) if u > v]
 
     def validate(self) -> None:
         """Check every structural invariant; raises GraphError on failure."""
-        if self.node_count < 1:
+        n, ports = self.node_count, self.ports
+        if n < 1:
             raise GraphError("graph must have at least one node")
-        if len(self.ports) != self.node_count:
+        if len(ports) != n:
             raise GraphError("port table count does not match node count")
         degree_sum = 0
-        for v, table in enumerate(self.ports):
+        for v, table in enumerate(ports):
             degree_sum += len(table)
             for p, (u, q) in enumerate(table):
-                if not 0 <= u < self.node_count:
+                if not 0 <= u < n:
                     raise GraphError(f"node {v} port {p} points at invalid node {u}")
                 if u == v:
                     raise GraphError(f"self-loop at node {v} (port {p})")
-                back = self.ports[u]
+                back = ports[u]
                 if not 0 <= q < len(back) or back[q] != (v, p):
                     raise GraphError(
                         f"port involution broken: {v} --{p}--> {u} "
                         f"but node {u} port {q} does not return via port {p}"
                     )
-            if len({u for u, _ in table}) != len(table):
+            # a dict keyed by neighbor drops a repeated one
+            if len(dict(table)) != len(table):
                 raise GraphError(f"multi-edge at node {v}")
         if degree_sum != 2 * self.edge_count:
             raise GraphError(
                 f"degree sum {degree_sum} does not equal 2*m = {2 * self.edge_count}"
             )
-        edges = ((v, u) for v, table in enumerate(self.ports) for u, _ in table if v < u)
-        if not _edges_connected(self.node_count, edges):
+        # the involution holds: ports from node 0 reach its whole component
+        reached = bytearray(n)
+        reached[0] = 1
+        todo = [0]
+        while todo:
+            for u, _ in ports[todo.pop()]:
+                if not reached[u]:
+                    reached[u] = 1
+                    todo.append(u)
+        if 0 in reached:
             raise GraphError("graph is not connected")
 
 
@@ -130,19 +137,19 @@ def _check_edges(
     edges: Sequence[tuple[int, int]], node_count: int | None
 ) -> tuple[int, list[tuple[int, int]]]:
     seen: set[tuple[int, int]] = set()
-    cleaned: list[tuple[int, int]] = []
+    cleaned = list(edges)
     max_node = -1
-    for u, v in edges:
+    for u, v in cleaned:
         if u == v:
             raise GraphError(f"self-loop on node {u}")
-        if u < 0 or v < 0:
+        key = (u, v) if u < v else (v, u)
+        if key[0] < 0:
             raise GraphError(f"negative node index in edge ({u},{v})")
-        key = (min(u, v), max(u, v))
         if key in seen:
             raise GraphError(f"duplicate edge ({u},{v})")
         seen.add(key)
-        cleaned.append((u, v))
-        max_node = max(max_node, u, v)
+        if key[1] > max_node:
+            max_node = key[1]
     n = max_node + 1 if node_count is None else node_count
     if n < 1:
         raise GraphError("graph must have at least one node")
@@ -197,11 +204,9 @@ def build_graph(
     elif ports != "canonical":
         raise GraphError(f"unknown port assignment {ports!r}")
 
-    position = [
-        {u: p for p, u in enumerate(adjacency[v])} for v in range(n)
-    ]
+    position = [{u: p for p, u in enumerate(adj)} for adj in adjacency]
     tables = tuple(
-        tuple((u, position[u][v]) for u in adjacency[v]) for v in range(n)
+        tuple([(u, position[u][v]) for u in adj]) for v, adj in enumerate(adjacency)
     )
     graph = PortLabeledGraph(node_count=n, edge_count=len(cleaned), ports=tables)
     graph.validate()
@@ -335,10 +340,14 @@ def graph_to_text(g: PortLabeledGraph) -> str:
     port assignment explicit so a round trip is exact.
     """
     lines = [f"{g.node_count} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    for v in range(g.node_count):
-        entries = " ".join(f"{p}->{u}" for p, (u, _) in enumerate(g.ports[v]))
-        lines.append(f"{v}: {entries}" if entries else f"{v}:")
+    lines.extend([f"{u} {v}" for u, v in g.edges()])
+    # one %-format per degree: "%d: 0->%d 1->%d ..."
+    formats: dict[int, str] = {}
+    for v, table in enumerate(g.ports):
+        fmt = formats.get(len(table))
+        if fmt is None:
+            fmt = formats[len(table)] = "%d:" + "".join(f" {p}->%d" for p in range(len(table)))
+        lines.append(fmt % (v, *[u for u, _ in table]))
     return "\n".join(lines) + "\n"
 
 
@@ -351,7 +360,7 @@ def _int(token: str, line: str) -> int:
 
 def graph_from_text(text: str) -> PortLabeledGraph:
     """Parse the `graph_to_text` format; a missing port block means canonical."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise GraphError("empty graph file")
     head = lines[0].split()
@@ -361,28 +370,42 @@ def graph_from_text(text: str) -> PortLabeledGraph:
     if len(lines) < 1 + m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
-    for ln in lines[1 : 1 + m]:
+    try:
+        for ln in lines[1 : 1 + m]:
+            u, v = ln.split()
+            edges.append((int(u), int(v)))
+    except ValueError:
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        edges.append((_int(parts[0], ln), _int(parts[1], ln)))
+            raise GraphError(f"bad edge line {ln!r}") from None
+        for token in parts:
+            _int(token, ln)
+        raise
     port_spec: dict[int, list[int]] = {}
-    for ln in lines[1 + m :]:
-        if ":" not in ln:
-            raise GraphError(f"bad port line {ln!r}")
-        node_part, _, rest = ln.partition(":")
-        v = _int(node_part, ln)
-        if v in port_spec:
-            raise GraphError(f"second port line for node {v}: {ln!r}")
-        order = []
-        for token in rest.split():
-            p_str, sep, u_str = token.partition("->")
-            if sep != "->":
-                raise GraphError(f"bad port entry {token!r} on node {v}")
-            if _int(p_str, ln) != len(order):
-                raise GraphError(f"ports for node {v} must be listed in order")
-            order.append(_int(u_str, ln))
-        port_spec[v] = order
+    try:
+        for ln in lines[1 + m :]:
+            node_part, colon, rest = ln.partition(":")
+            if not colon:
+                raise GraphError(f"bad port line {ln!r}")
+            v = int(node_part)
+            if v in port_spec:
+                raise GraphError(f"second port line for node {v}: {ln!r}")
+            order = []
+            for p, token in enumerate(rest.split()):
+                p_str, sep, u_str = token.partition("->")
+                if not sep:
+                    raise GraphError(f"bad port entry {token!r} on node {v}")
+                if int(p_str) != p:
+                    raise GraphError(f"ports for node {v} must be listed in order")
+                order.append(int(u_str))
+            port_spec[v] = order
+    except GraphError:
+        raise
+    except ValueError:
+        # name the first token that is not an integer, in reading order
+        for token in [node_part, *(t for e in rest.split() for t in e.partition("->")[::2])]:
+            _int(token, ln)
+        raise
     ports: str | dict[int, list[int]] = port_spec if port_spec else "canonical"
     return build_graph(edges, ports=ports, node_count=n)
 

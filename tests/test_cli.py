@@ -158,15 +158,18 @@ def test_stdout_output_when_no_out_file(capsys):
 def test_unwritable_output_path_is_a_diagnostic(tmp_path, capsys, option):
     # --out names a directory, --trace a file: neither can be written
     target = tmp_path / "target"
+    extra = []
     if option == "--out":
         target.mkdir()
+        # a run that started would leave its trace here
+        extra = ["--trace", str(tmp_path / "traces")]
     else:
         target.write_text("")
-    assert run_cli(*BASE, option, str(target)) == 2
+    assert run_cli(*BASE, *extra, option, str(target)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: ")
-    if option == "--trace":
-        assert "summary" not in err  # rejected before the first run
+    assert "summary" not in err  # rejected before the first run
+    assert not list(tmp_path.glob("traces/*"))
 
 
 def test_replay_fresh_trace_is_identical(tmp_path, capsys):

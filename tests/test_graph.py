@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -191,6 +192,40 @@ def test_text_rejects_malformed_input():
 def test_text_rejects_a_second_port_line_for_a_node():
     text = "3 3\n0 1\n0 2\n1 2\n0: 0->1 1->2\n0: 0->2 1->1\n"
     with pytest.raises(GraphError, match="second port line for node 0"):
+        graph_from_text(text)
+
+
+# sha256 of graph_to_text for graphs at benchmark size, recorded before the
+# codec was rewritten without per-edge builtin calls
+CODEC_DIGESTS = {
+    ("grid", 4096, None): "3c7ec5c8c9fa7776c26ceaebafdd804caacfeb8c5f97709aeeacd95862c3c059",
+    ("gnm", 1500, 6000): "bd9e5ccd9b7ae710c964352204010f28125925df808a08ff19633a1ef481163b",
+    ("random_tree", 2000, None): "14b315637cd155866331acfd0d0382d5c966ae7fd1770d4453b4e3c77f5b22a7",
+}
+
+
+@pytest.mark.parametrize("family,n,m", list(CODEC_DIGESTS), ids=lambda x: str(x))
+def test_codec_at_benchmark_size_is_pinned(family, n, m):
+    g = generate(family, n, m, seed=1, ports="random")
+    text = graph_to_text(g)
+    assert hashlib.sha256(text.encode()).hexdigest() == CODEC_DIGESTS[family, n, m]
+    assert graph_from_text(text).ports == g.ports
+    reference = {(min(u, v), max(u, v)) for v, table in enumerate(g.ports) for u, _ in table}
+    assert g.edges() == sorted(reference)
+
+
+@pytest.mark.parametrize(
+    "text,node",
+    [
+        ("3 2\n0 1\n1 2\n0: 0->2\n", 0),
+        ("3 3\n0 1\n0 2\n1 2\n1: 0->0 1->0\n", 1),
+        ("3 3\n0 1\n0 2\n1 2\n2: 0->1\n", 2),
+        ("3 2\n0 1\n1 2\n3: 0->1\n", 3),
+    ],
+    ids=["not-a-neighbor", "neighbor-twice", "short-line", "node-out-of-range"],
+)
+def test_text_rejects_a_port_line_that_disagrees_with_the_edges(text, node):
+    with pytest.raises(GraphError, match=rf"node {node}\b"):
         graph_from_text(text)
 
 
