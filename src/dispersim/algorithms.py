@@ -84,20 +84,15 @@ class HelpRecord(NamedTuple):
 
 def settled_service(
     visited: list[bool], entry_port: list[int], visitor_label: int, visitor_port: int
-) -> tuple[bool, int]:
-    """One docked-robot service exchange with a visitor, in place on the
-    docked robot's visitor records.
-
-    Returns the pre-update (visited[j], entry_port[j]) pair the visitor
-    receives: a first visit then stores visited[j] = True and entry_port[j] =
-    visitor_port, a repeat visit changes nothing.
-    """
-    was_visited = visited[visitor_label]
-    old_port = entry_port[visitor_label]
-    if not was_visited:
+) -> None:
+    """One docked-robot service exchange with a visitor j, in place on the
+    docked robot's visitor records: a first visit stores visited[j] = True
+    and entry_port[j] = visitor_port, a repeat visit changes nothing.  The
+    visitor reads its slots through its ``DockedHandle``, before the
+    exchange."""
+    if not visited[visitor_label]:
         visited[visitor_label] = True
         entry_port[visitor_label] = visitor_port
-    return was_visited, old_port
 
 
 def _advance(port: int, degree: int) -> int:

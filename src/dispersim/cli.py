@@ -78,7 +78,7 @@ def _parse_placement(text: str) -> tuple[str, int]:
     if mode not in PLACEMENT_CHOICES or (colon and mode != "colocated"):
         raise ConfigError(f"unknown placement {text!r}")
     try:
-        return mode, int(suffix) if suffix else 0
+        return mode, int(suffix) if colon else 0
     except ValueError:
         raise ConfigError(f"bad colocated node {suffix!r}") from None
 

@@ -128,10 +128,6 @@ def arbitrate_mutex(contenders: Sequence[Contender], policy: MutexPolicy) -> int
     return best.label
 
 
-def _fairness_bound(explicit: int | None, k: int) -> int:
-    return explicit if explicit is not None else 10 * k
-
-
 class _RoundRobinSelector:
     def __init__(self, k: int) -> None:
         self._k = k
@@ -153,8 +149,8 @@ def _holds(unsettled: Sequence[int], lab: int) -> bool:
 
 
 class _FairSelector:
-    """Shared fairness enforcement: no robot is passed over more than
-    ``bound`` consecutive scheduling decisions.
+    """A policy's choice function under fairness enforcement: no robot is
+    passed over more than ``bound`` consecutive scheduling decisions.
 
     An unsettled robot is passed over by every decision since its last pick,
     so its pass count is ``now - last pick``; robot l starts as if last
@@ -163,20 +159,13 @@ class _FairSelector:
     none exceeds it, and the starved robot is the least recently picked.
     """
 
-    def __init__(self, k: int, bound: int) -> None:
-        if bound < k - 1:
-            raise ValueError(
-                f"fairness bound {bound} is unsatisfiable for {k} robots "
-                f"(needs at least k-1 = {k - 1})"
-            )
+    def __init__(self, k: int, bound: int, choose: Callable[[Sequence[int]], int]) -> None:
+        self._choose = choose
         self._bound = bound
         self._now = 0
         # label -> last pick, least recently picked first; settled labels
         # leave lazily, when they reach the front at the bound
         self._order = OrderedDict((label, 1 - label) for label in range(k, 0, -1))
-
-    def _choose(self, unsettled: Sequence[int]) -> int:
-        raise NotImplementedError
 
     def select(self, unsettled: Sequence[int]) -> int:
         order, now = self._order, self._now
@@ -194,42 +183,36 @@ class _FairSelector:
         return pick
 
 
-class _SeededRandomSelector(_FairSelector):
-    def __init__(self, k: int, seed: int, bound: int) -> None:
-        super().__init__(k, bound)
-        self._rng = random.Random(seed)
-
-    def _choose(self, unsettled: Sequence[int]) -> int:
-        return self._rng.choice(unsettled)
-
-
-class _AdversarialSelector(_FairSelector):
-    def __init__(self, k: int, weights: Sequence[int] | None, bound: int) -> None:
-        super().__init__(k, bound)
-        if weights is not None and len(weights) != k:
-            raise ValueError(f"need one delay weight per robot ({k}), got {len(weights)}")
-        w = list(weights) if weights is not None else list(range(1, k + 1))
-        # labels by (weight, label); the cursor passes settled labels, which
-        # never return
-        self._ranked = sorted(range(1, k + 1), key=lambda l: (w[l - 1], l))
-        self._cursor = 0
-
-    def _choose(self, unsettled: Sequence[int]) -> int:
-        ranked, i = self._ranked, self._cursor
-        while not _holds(unsettled, ranked[i]):
-            i += 1
-        self._cursor = i
-        return ranked[i]
-
-
 def _make_selector(policy: SchedulerPolicy, k: int):
     if isinstance(policy, RoundRobin):
         return _RoundRobinSelector(k)
+    if not isinstance(policy, (SeededRandom, AdversarialStalling)):
+        raise ValueError(f"unknown scheduler policy {policy!r}")
+    bound = 10 * k if policy.fairness_bound is None else policy.fairness_bound
+    if bound < k - 1:
+        raise ValueError(
+            f"fairness bound {bound} is unsatisfiable for {k} robots "
+            f"(needs at least k-1 = {k - 1})"
+        )
     if isinstance(policy, SeededRandom):
-        return _SeededRandomSelector(k, policy.seed, _fairness_bound(policy.fairness_bound, k))
-    if isinstance(policy, AdversarialStalling):
-        return _AdversarialSelector(k, policy.weights, _fairness_bound(policy.fairness_bound, k))
-    raise ValueError(f"unknown scheduler policy {policy!r}")
+        return _FairSelector(k, bound, random.Random(policy.seed).choice)
+    weights = policy.weights
+    if weights is not None and len(weights) != k:
+        raise ValueError(f"need one delay weight per robot ({k}), got {len(weights)}")
+    # labels by (weight, label); the cursor passes settled labels, which
+    # never return
+    ranked = list(range(1, k + 1))
+    if weights is not None:
+        ranked.sort(key=lambda l: (weights[l - 1], l))
+    cursor = 0
+
+    def lowest_weight(unsettled: Sequence[int]) -> int:
+        nonlocal cursor
+        while not _holds(unsettled, ranked[cursor]):
+            cursor += 1
+        return ranked[cursor]
+
+    return _FairSelector(k, bound, lowest_weight)
 
 
 class WorldState:
@@ -274,9 +257,6 @@ class WorldState:
     @property
     def modes(self) -> list[Mode]:
         return [s.mode for s in self.states]
-
-    def all_settled(self) -> bool:
-        return not self.unsettled
 
     def robots_at(self, node: int) -> list[int]:
         return [l for l in self.unsettled if self.positions[l - 1] == node]
@@ -366,31 +346,25 @@ class WorldState:
         self.moves[lab - 1] += 1
 
 
-def apply_moves_single_lane(
-    world: WorldState, moves: Sequence[tuple[int, int]]
-) -> dict[int, list[int]]:
+def apply_moves_single_lane(world: WorldState, moves: Sequence[tuple[int, int]]) -> None:
     """Apply one synchronous round's moves with single-lane arrival ordering.
 
     Robots crossing the same edge in the same direction enter in ascending
     label order; each destination node then orders all its arrivals by
     (entry port, within-edge order) and assigns arrival indices 0, 1, ...
-    Returns the per-node arrival order (labels) for auditing.
     """
     arrivals: dict[int, list[tuple[int, int]]] = {}
     for lab, port in moves:
         src = world.positions[lab - 1]
         dest, entry = world.graph.traverse(src, port)
         arrivals.setdefault(dest, []).append((entry, lab))
-    order: dict[int, list[int]] = {}
     for dest, incoming in arrivals.items():
         incoming.sort()
-        order[dest] = [lab for _, lab in incoming]
         for idx, (entry, lab) in enumerate(incoming):
             world.positions[lab - 1] = dest
             world.pending_entry[lab - 1] = entry
             world.arrival_index[lab - 1] = idx
             world.moves[lab - 1] += 1
-    return order
 
 
 class JsonlTraceWriter:
@@ -530,9 +504,9 @@ def run_sync(
 
     Within a round: mutex winners are arbitrated per free node first, every
     unsettled robot's step is computed against the round-start world, docks
-    and help records are applied, then all moves land with single-lane
-    arrival ordering.  Stops early once every robot settled (the world is
-    static afterwards).
+    are applied (each event traced as it applies), then help records, then
+    all moves land with single-lane arrival ordering.  Stops early once
+    every robot settled (the world is static afterwards).
     """
     algorithm, world, step = _start(graph, placement, algorithm, True)
     bound = sync_round_bound(graph)
@@ -540,43 +514,43 @@ def run_sync(
     event_no = 0
     rounds_elapsed = 0
     for rnd in range(bound + 1):
-        if world.all_settled():
+        if not world.unsettled:
             break
         rounds_elapsed = rnd
 
-        winners: dict[int, tuple[list[int], int]] = {}
+        # node -> mutex winner, and the "mutex" value of its trace events
+        winners: dict[int, int] = {}
+        arbitrations: dict[int, str] = {}
         for lab in world.unsettled:
             node = world.positions[lab - 1]
             if node not in winners and node not in world.docked:
-                winners[node] = world.arbitrate(node, mutex_policy)
+                contenders, winners[node] = world.arbitrate(node, mutex_policy)
+                if trace_sink is not None:
+                    arbitrations[node] = mutex_json(contenders, winners[node])
 
         results = []
         for lab in world.unsettled:
             node = world.positions[lab - 1]
             view = world.local_view(lab)
-            mutex = winners.get(node)
             before = world.states[lab - 1].mode
-            state, action, effects = step(world.states[lab - 1], view, mutex[1] if mutex else None)
-            results.append((lab, node, before, state, action, effects, mutex))
+            state, action, effects = step(world.states[lab - 1], view, winners.get(node))
+            results.append((lab, node, before, state, action, effects))
 
         moves: list[tuple[int, int]] = []
-        for lab, node, before, state, action, effects, mutex in results:
+        for lab, node, before, state, action, effects in results:
             world.apply_iteration(lab, node, state, action, rnd)
             if isinstance(action, Move):
                 moves.append((lab, action.port))
-        for lab, node, before, state, action, effects, mutex in results:
-            for record in effects:
-                world.apply_help_record(record)
-        apply_moves_single_lane(world, moves)
-
-        if trace_sink is not None:
-            arbitrations = {node: mutex_json(*mutex) for node, mutex in winners.items()}
-            for lab, node, before, state, action, effects, mutex in results:
+            if trace_sink is not None:
                 trace_sink(trace_record_line(
                     event_no, rnd, lab, node, before, state.mode, action,
                     arbitrations.get(node, "null"), effects,
                 ))
                 event_no += 1
+        for lab, node, before, state, action, effects in results:
+            for record in effects:
+                world.apply_help_record(record)
+        apply_moves_single_lane(world, moves)
 
     return _build_report(world, algorithm, rounds_elapsed, None, trace_sink)
 
@@ -606,7 +580,7 @@ def run_async(
     selector = _make_selector(scheduler_policy, k)
 
     event = 0
-    while not world.all_settled() and event < cap:
+    while world.unsettled and event < cap:
         lab = selector.select(world.unsettled)
         node = world.positions[lab - 1]
         view = world.local_view(lab)

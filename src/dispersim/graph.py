@@ -28,8 +28,6 @@ __all__ = [
     "read_graph",
 ]
 
-GRAPH_FAMILIES = ("line", "ring", "complete", "random_tree", "grid", "gnm")
-
 DEFAULT_GNM_RETRIES = 1000
 
 
@@ -182,6 +180,9 @@ def build_graph(
     permutations with a diagnostic naming the offending node or edge.
     """
     n, cleaned = _check_edges(edges, node_count)
+    if len(cleaned) < n - 1:
+        # refused before anything is allocated per node
+        raise GraphError("graph is not connected")
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for u, v in cleaned:
         adjacency[u].append(v)
@@ -367,6 +368,8 @@ def graph_from_text(text: str) -> PortLabeledGraph:
     if len(head) != 2:
         raise GraphError(f"header must be 'n m', got {lines[0]!r}")
     n, m = _int(head[0], lines[0]), _int(head[1], lines[0])
+    if n < 0 or m < 0:
+        raise GraphError(f"negative count in header {lines[0]!r}")
     if len(lines) < 1 + m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

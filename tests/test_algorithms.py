@@ -159,17 +159,17 @@ def test_independent_backtrack_pops_on_parent_port():
 
 def test_settled_service_first_and_repeat_visits():
     visited, entry_port = [False] * 5, [-1] * 5
-    assert settled_service(visited, entry_port, 3, 2) == (False, -1)
+    settled_service(visited, entry_port, 3, 2)
     after = ([False, False, False, True, False], [-1, -1, -1, 2, -1])
     assert (visited, entry_port) == after
-    # a repeat visit receives the first entry port and changes nothing
-    assert settled_service(visited, entry_port, 3, 0) == (True, 2)
+    # a repeat visit keeps the first entry port
+    settled_service(visited, entry_port, 3, 0)
     assert (visited, entry_port) == after
 
 
 def test_settled_service_records_sentinel_for_unmoved_visitor():
     visited, entry_port = [False] * 5, [-1] * 5
-    assert settled_service(visited, entry_port, 2, -1) == (False, -1)
+    settled_service(visited, entry_port, 2, -1)
     assert (visited[2], entry_port[2]) == (True, -1)
 
 

@@ -142,6 +142,12 @@ def test_bad_placement_is_rejected(capsys):
         "run", "--algorithm", "helping-sync", "--graph", "line",
         "--n", "6", "--k", "3", "--placement", "somewhere",
     ) == 2
+    # an empty node is refused, not read as node 0
+    assert run_cli(
+        "run", "--algorithm", "helping-sync", "--graph", "line",
+        "--n", "6", "--k", "3", "--placement", "colocated:",
+    ) == 2
+    assert "bad colocated node ''" in capsys.readouterr().err
 
 
 def test_stdout_output_when_no_out_file(capsys):
@@ -251,6 +257,10 @@ ADVERSARIAL_RUN = (
         pytest.param(
             lambda h: {**h, "graph": h["graph"] + h["graph"].splitlines()[-1] + "\n"},
             id="graph-with-a-second-port-line",
+        ),
+        # refused from the edge count, before anything is built per node
+        pytest.param(
+            lambda h: {**h, "graph": "1000000000 0\n"}, id="graph-that-cannot-be-connected"
         ),
     ],
 )

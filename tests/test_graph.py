@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,23 @@ def test_text_rejects_malformed_input():
         graph_from_text("2\n0 1\n")
     with pytest.raises(GraphError):
         graph_from_text("2 1\n0 1\n0: 1->x\n")
+
+
+@pytest.mark.parametrize("header", ["3 -1", "-3 2"])
+def test_text_rejects_a_negative_count_in_the_header(header):
+    with pytest.raises(GraphError, match=f"negative count in header '{header}'"):
+        graph_from_text(f"{header}\n0 1\n1 2\n")
+
+
+def test_too_few_edges_are_refused_before_any_per_node_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="not connected"):
+            graph_from_text("100000 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_text_rejects_a_second_port_line_for_a_node():
