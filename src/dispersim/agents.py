@@ -18,7 +18,6 @@ __all__ = [
     "Mode",
     "HelpingState",
     "IndependentState",
-    "settle",
     "port_value_bits",
     "round_counter_bits",
     "memory_bits_helping",
@@ -59,15 +58,6 @@ class IndependentState(NamedTuple):
     round: int = 0
     visited: int = 0
     stack: tuple[int, ...] = ()
-
-
-def settle(
-    state: HelpingState | IndependentState,
-) -> HelpingState | IndependentState:
-    """The absorbing settle transition of either family."""
-    if state.mode is Mode.SETTLED:
-        raise ValueError(f"robot {state.label} is already settled")
-    return state._replace(mode=Mode.SETTLED)
 
 
 def port_value_bits(max_degree: int) -> int:

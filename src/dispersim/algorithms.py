@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .agents import HelpingState, IndependentState, Mode, settle
+from .agents import HelpingState, IndependentState, Mode
 
 __all__ = [
     "SimulationInvariantError",
@@ -151,8 +151,7 @@ def helping_step(
             f"robot {state.label} at a free node without arbitration"
         )
     elif mutex_winner == state.label:
-        new = HelpingState(state.label, state.mode, pe, pp, seen, nxt)
-        return settle(new), DOCK, ()
+        return HelpingState(state.label, Mode.SETTLED, pe, pp, seen, nxt), DOCK, ()
     else:
         # loser: a first visit at the fresh winner, whose records are blank;
         # here pp == pe and seen is False already, so the winner records
@@ -210,8 +209,8 @@ def independent_step(
                     f"robot {state.label} at a free node without arbitration"
                 )
             if mutex_winner == state.label:
-                new = IndependentState(state.label, state.mode, pe, nxt, visited, stack)
-                return settle(new), DOCK, ()
+                new = IndependentState(state.label, Mode.SETTLED, pe, nxt, visited, stack)
+                return new, DOCK, ()
             marked = mutex_winner
         # first visit: mark the docked (or freshly docking) robot, remember
         # the entry port as this node's parent pointer, take the next port

@@ -122,14 +122,12 @@ def async_iteration_bound(graph: PortLabeledGraph) -> int:
 def check_dispersion(world) -> bool:
     """True iff every robot is settled and positions are pairwise distinct.
 
-    Accepts anything exposing ``positions`` and ``modes`` sequences (the
-    engine's world state does).
+    Accepts anything exposing ``positions`` and ``states`` sequences, each
+    state with a ``mode`` (the engine's world state does).
     """
-    modes = list(world.modes)
-    positions = list(world.positions)
-    if any(m is not Mode.SETTLED for m in modes):
-        return False
-    return len(set(positions)) == len(positions)
+    positions = world.positions
+    settled = all(s.mode is Mode.SETTLED for s in world.states)
+    return settled and len(set(positions)) == len(positions)
 
 
 def check_time_bound(report: RunReport, graph: PortLabeledGraph) -> bool:

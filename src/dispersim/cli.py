@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .analysis import RunReport, check_memory_bound, check_time_bound
 from .engine import (
-    DEFAULT_SAFETY_FACTOR,
+    SAFETY_FACTOR,
     AdversarialStalling,
     Algorithm,
     JsonlTraceWriter,
@@ -143,12 +143,15 @@ def trace_header(
     placement: InitialPlacement,
     mutex: MutexPolicy,
     scheduler: SchedulerPolicy | None,
-    safety_factor: int = DEFAULT_SAFETY_FACTOR,
 ) -> str:
     """First line of a trace file, as compact JSON: everything replay needs
     to re-execute."""
     if scheduler is not None:
-        kind = next(name for name, policy in _SCHEDULERS.items() if isinstance(scheduler, policy))
+        for kind, policy in _SCHEDULERS.items():
+            if isinstance(scheduler, policy):
+                break
+        else:
+            raise ValueError(f"unknown scheduler policy {scheduler!r}")
         scheduler = {"kind": kind, **asdict(scheduler)}
     header = {
         "type": "config",
@@ -158,7 +161,7 @@ def trace_header(
         "placement": list(placement.robot_positions),
         "mutex": mutex.value,
         "scheduler": scheduler,
-        "safety_factor": safety_factor,
+        "safety_factor": SAFETY_FACTOR,
         "seed": seed,
     }
     return json.dumps(header, separators=(",", ":"))
@@ -197,17 +200,15 @@ def _run_arguments(line: str) -> dict:
         scheduler = policy(
             **{f.name: _field(scheduler, f.name, types[f.name], f.default) for f in fields(policy)}
         )
-    safety_factor = _field(header, "safety_factor", int, DEFAULT_SAFETY_FACTOR)
-    if safety_factor < 1:
-        # run_async takes it (the run then makes no event); no recorded run does
-        raise ConfigError(f"bad 'safety_factor': {safety_factor!r} (needs at least 1)")
+    safety_factor = _field(header, "safety_factor", int, SAFETY_FACTOR)
+    if safety_factor != SAFETY_FACTOR:
+        raise ConfigError(f"bad 'safety_factor': {safety_factor!r} (the cap uses {SAFETY_FACTOR})")
     return {
         "graph": graph_from_text(_field(header, "graph", str)),
         "placement": InitialPlacement(_field(header, "placement", tuple[int, ...])),
         "algorithm": Algorithm(_field(header, "algorithm", str)),
         "mutex_policy": MutexPolicy(_field(header, "mutex", str)),
         "scheduler_policy": scheduler,
-        "safety_factor": safety_factor,
     }
 
 

@@ -52,10 +52,11 @@ __all__ = [
     "JsonlTraceWriter",
     "mutex_json",
     "trace_record_line",
-    "DEFAULT_SAFETY_FACTOR",
+    "SAFETY_FACTOR",
 ]
 
-DEFAULT_SAFETY_FACTOR = 4
+# the asynchronous event cap is SAFETY_FACTOR * k * (4m - 2(n-1) + 1)
+SAFETY_FACTOR = 4
 
 # one helping step serves both engines; perfbench/spans.py times each
 # engine's step through its own binding, which _start reads at run start
@@ -254,10 +255,6 @@ class WorldState:
         self.peak_stack: list[int] = [0] * k
         self.mutex_contentions = 0
 
-    @property
-    def modes(self) -> list[Mode]:
-        return [s.mode for s in self.states]
-
     def robots_at(self, node: int) -> list[int]:
         return [l for l in self.unsettled if self.positions[l - 1] == node]
 
@@ -336,9 +333,9 @@ class WorldState:
             )
         settled_service(*records, record.visitor_label, record.entry_port)
 
-    def move_robot(self, lab: int, port: int) -> None:
-        src = self.positions[lab - 1]
-        dest, entry = self.graph.traverse(src, port)
+    def move_robot(self, lab: int, dest: int, entry: int) -> None:
+        """Land robot ``lab`` at ``dest`` through port ``entry``, as the
+        node's next arrival."""
         self.positions[lab - 1] = dest
         self.pending_entry[lab - 1] = entry
         self.arrival_index[lab - 1] = self.next_arrival[dest]
@@ -350,21 +347,15 @@ def apply_moves_single_lane(world: WorldState, moves: Sequence[tuple[int, int]])
     """Apply one synchronous round's moves with single-lane arrival ordering.
 
     Robots crossing the same edge in the same direction enter in ascending
-    label order; each destination node then orders all its arrivals by
-    (entry port, within-edge order) and assigns arrival indices 0, 1, ...
+    label order, and each destination node takes all its arrivals by (entry
+    port, label), numbering them on from its arrival counter.
     """
-    arrivals: dict[int, list[tuple[int, int]]] = {}
+    landings = []
     for lab, port in moves:
-        src = world.positions[lab - 1]
-        dest, entry = world.graph.traverse(src, port)
-        arrivals.setdefault(dest, []).append((entry, lab))
-    for dest, incoming in arrivals.items():
-        incoming.sort()
-        for idx, (entry, lab) in enumerate(incoming):
-            world.positions[lab - 1] = dest
-            world.pending_entry[lab - 1] = entry
-            world.arrival_index[lab - 1] = idx
-            world.moves[lab - 1] += 1
+        dest, entry = world.graph.traverse(world.positions[lab - 1], port)
+        landings.append((entry, lab, dest))
+    for entry, lab, dest in sorted(landings):
+        world.move_robot(lab, dest, entry)
 
 
 class JsonlTraceWriter:
@@ -486,7 +477,7 @@ def _build_report(
         robot_count=world.k,
         robots=robots,
         final_positions=tuple(world.positions),
-        final_modes=tuple(m.value for m in world.modes),
+        final_modes=tuple(s.mode.value for s in world.states),
         mutex_contentions=world.mutex_contentions,
         trace_path=getattr(trace_sink, "path", None),
     )
@@ -502,10 +493,10 @@ def run_sync(
     """Synchronous engine: rounds 0..4m-2(n-1), one loop body per robot per
     round, computed from the pre-round snapshot.
 
-    Within a round: mutex winners are arbitrated per free node first, every
-    unsettled robot's step is computed against the round-start world, docks
-    are applied (each event traced as it applies), then help records, then
-    all moves land with single-lane arrival ordering.  Stops early once
+    Within a round: every unsettled robot's step is computed against the
+    round-start world, each free node's mutex arbitrated at its first robot;
+    docks are applied (each event traced as it applies), then help records,
+    then all moves land with single-lane arrival ordering.  Stops early once
     every robot settled (the world is static afterwards).
     """
     algorithm, world, step = _start(graph, placement, algorithm, True)
@@ -518,20 +509,19 @@ def run_sync(
             break
         rounds_elapsed = rnd
 
-        # node -> mutex winner, and the "mutex" value of its trace events
+        # node -> mutex winner, and the "mutex" value of its trace events;
+        # steps mutate nothing, so arbitrating inside this walk sees the
+        # round-start world
         winners: dict[int, int] = {}
         arbitrations: dict[int, str] = {}
-        for lab in world.unsettled:
-            node = world.positions[lab - 1]
-            if node not in winners and node not in world.docked:
-                contenders, winners[node] = world.arbitrate(node, mutex_policy)
-                if trace_sink is not None:
-                    arbitrations[node] = mutex_json(contenders, winners[node])
-
         results = []
         for lab in world.unsettled:
             node = world.positions[lab - 1]
             view = world.local_view(lab)
+            if view.docked is None and node not in winners:
+                contenders, winners[node] = world.arbitrate(node, mutex_policy)
+                if trace_sink is not None:
+                    arbitrations[node] = mutex_json(contenders, winners[node])
             before = world.states[lab - 1].mode
             state, action, effects = step(world.states[lab - 1], view, winners.get(node))
             results.append((lab, node, before, state, action, effects))
@@ -562,7 +552,6 @@ def run_async(
     scheduler_policy: SchedulerPolicy = RoundRobin(),
     mutex_policy: MutexPolicy = MutexPolicy.LOWEST_LABEL,
     trace_sink: Callable[[str], None] | None = None,
-    safety_factor: int = DEFAULT_SAFETY_FACTOR,
 ) -> RunReport:
     """Asynchronous discrete-event engine.
 
@@ -571,12 +560,12 @@ def run_async(
     undocked robots parked there; a winner other than the acting robot is
     settled within the same event, before the acting robot's help records
     land.  Runs until all robots settle or the safety cap
-    safety_factor * k * (4m - 2(n-1) + 1) is exceeded (which marks the run
+    SAFETY_FACTOR * k * (4m - 2(n-1) + 1) is exceeded (which marks the run
     not dispersed: correct runs never reach it).
     """
     algorithm, world, step = _start(graph, placement, algorithm, False)
     k = world.k
-    cap = safety_factor * k * (sync_round_bound(graph) + 1)
+    cap = SAFETY_FACTOR * k * (sync_round_bound(graph) + 1)
     selector = _make_selector(scheduler_policy, k)
 
     event = 0
@@ -594,7 +583,8 @@ def run_async(
         for record in effects:
             world.apply_help_record(record)
         if isinstance(action, Move):
-            world.move_robot(lab, action.port)
+            dest, entry = graph.traverse(node, action.port)
+            world.move_robot(lab, dest, entry)
 
         if trace_sink is not None:
             trace_sink(trace_record_line(
@@ -613,7 +603,6 @@ def run(
     scheduler_policy: SchedulerPolicy | None = None,
     mutex_policy: MutexPolicy = MutexPolicy.LOWEST_LABEL,
     trace_sink: Callable[[str], None] | None = None,
-    safety_factor: int = DEFAULT_SAFETY_FACTOR,
 ) -> RunReport:
     """Dispatch to the engine the algorithm belongs to."""
     algorithm = Algorithm(algorithm)
@@ -621,12 +610,5 @@ def run(
         if scheduler_policy is not None:
             raise ValueError("scheduler policies apply to asynchronous algorithms only")
         return run_sync(graph, placement, algorithm, mutex_policy, trace_sink)
-    return run_async(
-        graph,
-        placement,
-        algorithm,
-        scheduler_policy if scheduler_policy is not None else RoundRobin(),
-        mutex_policy,
-        trace_sink,
-        safety_factor,
-    )
+    scheduler = scheduler_policy if scheduler_policy is not None else RoundRobin()
+    return run_async(graph, placement, algorithm, scheduler, mutex_policy, trace_sink)

@@ -215,12 +215,7 @@ def build_graph(
 
 
 def _grid_dimensions(n: int) -> tuple[int, int]:
-    rows = 1
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            rows = d
-        d += 1
+    rows = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
     return rows, n // rows
 
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import pytest
-
 from dispersim.agents import (
     HelpingState,
     IndependentState,
@@ -10,7 +8,6 @@ from dispersim.agents import (
     memory_bits_independent,
     port_value_bits,
     round_counter_bits,
-    settle,
 )
 
 
@@ -40,19 +37,6 @@ def test_independent_memory_examples():
     # k=5, Delta=4: 3 + 2 + 5 bits, plus 3 per stack entry up to depth k-1
     assert memory_bits_independent(0, 5, 4) == 10
     assert memory_bits_independent(4, 5, 4) == 22
-
-
-@pytest.mark.parametrize(
-    "state",
-    [HelpingState(3), IndependentState(2, visited=0b110)],
-    ids=["helping", "independent"],
-)
-def test_settle_is_absorbing(state):
-    settled = settle(state)
-    assert settled.mode is Mode.SETTLED
-    assert settled == state._replace(mode=Mode.SETTLED)
-    with pytest.raises(ValueError):
-        settle(settled)
 
 
 def test_initial_states():

@@ -4,7 +4,7 @@ from copy import deepcopy
 
 import pytest
 
-from dispersim.agents import HelpingState, IndependentState, Mode, settle
+from dispersim.agents import HelpingState, IndependentState, Mode
 from dispersim.algorithms import (
     Dock,
     DockedHandle,
@@ -183,7 +183,7 @@ def test_settled_service_records_sentinel_for_unmoved_visitor():
 )
 def test_step_rejects_settled_robot(state, step):
     with pytest.raises(SimulationInvariantError, match="settled robot 1"):
-        step(settle(state), view(2), mutex_winner=None)
+        step(state._replace(mode=Mode.SETTLED), view(2), mutex_winner=None)
 
 
 def test_backtrack_into_free_node_is_hard_failure():

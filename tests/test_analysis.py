@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dispersim.agents import Mode
+from dispersim.agents import HelpingState, Mode
 from dispersim.analysis import (
     async_iteration_bound,
     check_dispersion,
@@ -22,7 +22,7 @@ from harness import random_connected_instance, traversal_without_docking
 
 
 def world(positions, modes):
-    return SimpleNamespace(positions=positions, modes=modes)
+    return SimpleNamespace(positions=positions, states=[HelpingState(1, m) for m in modes])
 
 
 def test_check_dispersion_trivial_cases():

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from dispersim import cli
+from dispersim.engine import Algorithm, MutexPolicy, run
+from dispersim.graph import InitialPlacement, generate
 
 
 def run_cli(*args):
@@ -250,6 +252,7 @@ ADVERSARIAL_RUN = (
         pytest.param(lambda h: {**h, "safety_factor": "x"}, id="safety-factor-not-an-int"),
         pytest.param(lambda h: {**h, "safety_factor": 0}, id="safety-factor-zero"),
         pytest.param(lambda h: {**h, "safety_factor": -1}, id="safety-factor-negative"),
+        pytest.param(lambda h: {**h, "safety_factor": 5}, id="safety-factor-not-the-cap"),
         pytest.param(
             lambda h: {**h, "algorithm": "independent-sync"}, id="scheduler-on-sync-algorithm"
         ),
@@ -273,6 +276,16 @@ def test_replay_rejects_malformed_header(tmp_path, capsys, edit):
     capsys.readouterr()
     assert run_cli("replay", str(path)) == 2
     assert capsys.readouterr().err.startswith("error: malformed trace: ")
+
+
+def test_trace_header_rejects_an_unknown_scheduler_like_the_engine():
+    graph, placement, scheduler = generate("ring", 4), InitialPlacement((0, 0)), object()
+    args = (Algorithm.INDEPENDENT_ASYNC, graph, placement, MutexPolicy.LOWEST_LABEL, scheduler)
+    with pytest.raises(ValueError, match="unknown scheduler policy") as header_error:
+        cli.trace_header(0, 0, *args)
+    with pytest.raises(ValueError, match="unknown scheduler policy") as engine_error:
+        run(graph, placement, args[0], scheduler, args[3])
+    assert str(header_error.value) == str(engine_error.value)
 
 
 @pytest.mark.parametrize("algorithm", ["helping-sync", "independent-async"])

@@ -71,8 +71,9 @@ def test_same_edge_same_direction_orders_by_label():
     g = generate("line", 2)
     world = WorldState(g, [0, 0, 0, 0], helping=True)
     apply_moves_single_lane(world, [(4, 0), (2, 0)])
-    assert world.arrival_index[2 - 1] == 0
-    assert world.arrival_index[4 - 1] == 1
+    # node 1's arrival counter starts at 1; placement arrivals hold index 0
+    assert world.arrival_index[2 - 1] == 1
+    assert world.arrival_index[4 - 1] == 2
     assert world.positions == [0, 1, 0, 1]
 
 
@@ -82,9 +83,19 @@ def test_lower_entry_port_arrives_first():
     # node 0 is port 0 and from node 1 is port 1
     world = WorldState(TRIANGLE, [0, 1], helping=True)
     apply_moves_single_lane(world, [(2, 1), (1, 1)])
-    assert world.arrival_index[0] == 0  # robot 1 entered by port 0
-    assert world.arrival_index[1] == 1
+    assert world.arrival_index[0] == 1  # robot 1 entered by port 0
+    assert world.arrival_index[1] == 2
     assert world.pending_entry == [0, 1]
+
+
+def test_arrival_counter_runs_on_across_landings():
+    g = generate("line", 3)
+    world = WorldState(g, [0, 2, 0], helping=True)
+    apply_moves_single_lane(world, [(1, 0)])
+    # robot 3 enters node 1 by port 0, robot 2 by port 1
+    apply_moves_single_lane(world, [(2, 0), (3, 0)])
+    assert world.arrival_index == [1, 3, 2]
+    assert world.next_arrival == [1, 4, 1]
 
 
 # --- synchronous engine -----------------------------------------------------
@@ -373,10 +384,8 @@ def test_world_rejects_second_dock_on_same_node():
 
 
 def test_world_rejects_leaving_settled_mode():
-    from dispersim.agents import settle
-
     world = WorldState(TRIANGLE, [0, 0], helping=True)
-    world.apply_state(1, settle(world.states[0]))
+    world.apply_state(1, world.states[0]._replace(mode=Mode.SETTLED))
     with pytest.raises(SimulationInvariantError):
         world.apply_state(1, HelpingState(1))
 
@@ -431,7 +440,7 @@ def test_settle_in_absentia_refreshes_entry_port_like_own_iteration(helping):
     world = WorldState(g, [0, 0], helping=helping)
     # robot 1 has acted once and just arrived at node 1 through port 0
     world.apply_state(1, world.states[0]._replace(round=1, port_entered=5))
-    world.move_robot(1, 0)
+    world.move_robot(1, *g.traverse(0, 0))
     step = helping_step if helping else independent_step
     world.settle_in_absentia(1, 1, 7, step)
     settled = world.states[0]
@@ -446,11 +455,9 @@ def test_settle_in_absentia_refreshes_entry_port_like_own_iteration(helping):
     assert world.unsettled == [2]
 
 
-def test_safety_cap_reports_undispersed_run():
-    g = generate("ring", 4)
-    report = run_async(
-        g, [0, 0, 0], Algorithm.INDEPENDENT_ASYNC, safety_factor=0
-    )
+def test_safety_cap_reports_undispersed_run(monkeypatch):
+    monkeypatch.setattr(engine, "SAFETY_FACTOR", 0)
+    report = run_async(generate("ring", 4), [0, 0, 0], Algorithm.INDEPENDENT_ASYNC)
     assert not report.dispersed
     assert report.events_elapsed == 0
     assert all(r.settle_time is None for r in report.robots)

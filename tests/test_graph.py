@@ -13,6 +13,7 @@ from dispersim.graph import (
     InitialPlacement,
     _edges_connected,
     _gnm_edges,
+    _grid_dimensions,
     _pair_at,
     build_graph,
     generate,
@@ -97,6 +98,12 @@ def test_random_tree_and_grid_are_connected():
     g = generate("grid", 12)
     assert g.edge_count == 3 * 3 + 4 * 2  # 3x4 grid
     g.validate()
+
+
+def test_grid_rows_are_the_largest_divisor_at_most_sqrt_n():
+    for n in range(1, 5001):
+        rows = max(d for d in range(1, int(n**0.5) + 2) if d * d <= n and n % d == 0)
+        assert _grid_dimensions(n) == (rows, n // rows)
 
 
 def _reference_gnm_edges(n, m, rng, retries):
