@@ -31,6 +31,10 @@ class Mode(Enum):
     SETTLED = "settled"
 
 
+# bound once: a module name costs a fraction of a Mode.X class lookup
+EXPLORE, BACKTRACK, SETTLED = Mode.EXPLORE, Mode.BACKTRACK, Mode.SETTLED
+
+
 class HelpingState(NamedTuple):
     """Robot state for the helping family.
 

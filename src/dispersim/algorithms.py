@@ -16,10 +16,12 @@ from here.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import NamedTuple
 
-from .agents import HelpingState, IndependentState, Mode
+from .agents import BACKTRACK, EXPLORE, SETTLED, HelpingState, IndependentState
 
 __all__ = [
     "SimulationInvariantError",
@@ -43,9 +45,9 @@ class SimulationInvariantError(RuntimeError):
 class DockedHandle(NamedTuple):
     """What a docked robot communicates to the viewing robot.
 
-    ``visited_self`` / ``entry_port_self`` are the viewer's own slots in the
-    docked robot's visitor records (helping family; independent visitors only
-    use the label).
+    ``visited_self`` (0/1) / ``entry_port_self`` are the viewer's own slots in
+    the docked robot's visitor records (helping family; independent visitors
+    only use the label).
     """
 
     label: int
@@ -61,6 +63,16 @@ class LocalView(NamedTuple):
 
 class Move(NamedTuple):
     port: int
+
+
+# per-step values are built in C: each maker takes one tuple of all the
+# type's fields and skips the NamedTuple's Python __new__, so it checks no
+# arity; moves are shared, one per port
+new_helping_state = partial(tuple.__new__, HelpingState)
+new_independent_state = partial(tuple.__new__, IndependentState)
+new_docked_handle = partial(tuple.__new__, DockedHandle)
+new_local_view = partial(tuple.__new__, LocalView)
+move_to = cache(Move)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,20 +95,16 @@ class HelpRecord(NamedTuple):
 
 
 def settled_service(
-    visited: list[bool], entry_port: list[int], visitor_label: int, visitor_port: int
+    visited: bytearray, entry_port: array, visitor_label: int, visitor_port: int
 ) -> None:
     """One docked-robot service exchange with a visitor j, in place on the
-    docked robot's visitor records: a first visit stores visited[j] = True
+    docked robot's visitor records: a first visit stores visited[j] = 1
     and entry_port[j] = visitor_port, a repeat visit changes nothing.  The
     visitor reads its slots through its ``DockedHandle``, before the
     exchange."""
     if not visited[visitor_label]:
-        visited[visitor_label] = True
+        visited[visitor_label] = 1
         entry_port[visitor_label] = visitor_port
-
-
-def _advance(port: int, degree: int) -> int:
-    return (port + 1) % degree
 
 
 def helping_step(
@@ -114,53 +122,46 @@ def helping_step(
     ``mutex_winner`` must be the node's arbitration result when the node is
     free, None otherwise.
     """
-    if state.mode is Mode.SETTLED:
-        raise SimulationInvariantError(
-            f"settled robot {state.label} has no active iterations"
-        )
+    label, mode, pe, pp, seen, rnd = state
+    if mode is SETTLED:
+        raise SimulationInvariantError(f"settled robot {label} has no active iterations")
+    degree, docked, entry_port = view
 
     # successors are built positionally: (label, mode, port_entered,
     # parent_ptr, seen, round)
-    pe = state.port_entered
-    pp = state.parent_ptr
-    seen = state.seen
-    if state.round > 0:
-        pe = pp = view.entry_port
+    if rnd > 0:
+        pe = pp = entry_port
         seen = False
-    nxt = state.round + 1
     effects: tuple[HelpRecord, ...] = ()
 
-    if view.docked is not None:
+    if docked is not None:
         # node claimed in an earlier round: read own slots at the dock
-        seen = view.docked.visited_self
-        pp = view.docked.entry_port_self
-        if state.mode is Mode.EXPLORE:
+        docked_label, seen, pp = docked
+        if mode is EXPLORE:
             if seen:
                 # revisited node: bounce straight back the way we came
-                new = HelpingState(state.label, Mode.BACKTRACK, pe, pp, True, nxt)
-                return new, Move(pe), ()
+                new = new_helping_state((label, BACKTRACK, pe, pp, seen, rnd + 1))
+                return new, move_to(pe), ()
             pp = pe
-            effects = (HelpRecord(view.docked.label, state.label, pe),)
-    elif state.mode is Mode.BACKTRACK:
+            effects = (HelpRecord(docked_label, label, pe),)
+    elif mode is BACKTRACK:
         # the target of a backtrack always holds a docked robot
         raise SimulationInvariantError(
-            f"robot {state.label} backtracked into a node with no docked robot"
+            f"robot {label} backtracked into a node with no docked robot"
         )
     elif mutex_winner is None:
-        raise SimulationInvariantError(
-            f"robot {state.label} at a free node without arbitration"
-        )
-    elif mutex_winner == state.label:
-        return HelpingState(state.label, Mode.SETTLED, pe, pp, seen, nxt), DOCK, ()
+        raise SimulationInvariantError(f"robot {label} at a free node without arbitration")
+    elif mutex_winner == label:
+        return new_helping_state((label, SETTLED, pe, pp, seen, rnd + 1)), DOCK, ()
     else:
         # loser: a first visit at the fresh winner, whose records are blank;
         # here pp == pe and seen is False already, so the winner records
         # this robot's current entry port
-        effects = (HelpRecord(mutex_winner, state.label, pe),)
+        effects = (HelpRecord(mutex_winner, label, pe),)
 
-    pe = _advance(pe, view.degree)
-    mode = Mode.BACKTRACK if pe == pp else Mode.EXPLORE
-    return HelpingState(state.label, mode, pe, pp, seen, nxt), Move(pe), effects
+    pe = (pe + 1) % degree
+    mode = BACKTRACK if pe == pp else EXPLORE
+    return new_helping_state((label, mode, pe, pp, seen, rnd + 1)), move_to(pe), effects
 
 
 def independent_step(
@@ -173,43 +174,37 @@ def independent_step(
     current node.  Docked robots only relay their labels, so the help
     records are always empty.
     """
-    if state.mode is Mode.SETTLED:
-        raise SimulationInvariantError(
-            f"settled robot {state.label} has no active iterations"
-        )
+    label, mode, pe, rnd, visited, stack = state
+    if mode is SETTLED:
+        raise SimulationInvariantError(f"settled robot {label} has no active iterations")
+    degree, docked, entry_port = view
 
     # successors are built positionally: (label, mode, port_entered, round,
     # visited, stack)
-    pe = state.port_entered
-    if state.round > 0:
-        pe = view.entry_port
-    nxt = state.round + 1
-    visited = state.visited
-    stack = state.stack
+    if rnd > 0:
+        pe = entry_port
 
-    if state.mode is Mode.BACKTRACK:
-        if view.docked is None:
+    if mode is BACKTRACK:
+        if docked is None:
             raise SimulationInvariantError(
-                f"robot {state.label} backtracked into a node with no docked robot"
+                f"robot {label} backtracked into a node with no docked robot"
             )
         if not stack:
-            raise SimulationInvariantError(
-                f"robot {state.label} backtracking with an empty stack"
-            )
+            raise SimulationInvariantError(f"robot {label} backtracking with an empty stack")
     else:
-        if view.docked is not None and visited >> view.docked.label & 1:
+        if docked is not None and visited >> docked.label & 1:
             # revisited node: bounce straight back the way we came
-            new = IndependentState(state.label, Mode.BACKTRACK, pe, nxt, visited, stack)
-            return new, Move(pe), ()
-        if view.docked is not None:
-            marked = view.docked.label
+            new = new_independent_state((label, BACKTRACK, pe, rnd + 1, visited, stack))
+            return new, move_to(pe), ()
+        if docked is not None:
+            marked = docked.label
         else:
             if mutex_winner is None:
                 raise SimulationInvariantError(
-                    f"robot {state.label} at a free node without arbitration"
+                    f"robot {label} at a free node without arbitration"
                 )
-            if mutex_winner == state.label:
-                new = IndependentState(state.label, Mode.SETTLED, pe, nxt, visited, stack)
+            if mutex_winner == label:
+                new = new_independent_state((label, SETTLED, pe, rnd + 1, visited, stack))
                 return new, DOCK, ()
             marked = mutex_winner
         # first visit: mark the docked (or freshly docking) robot, remember
@@ -217,9 +212,9 @@ def independent_step(
         visited |= 1 << marked
         stack = stack + (pe,)
 
-    pe = _advance(pe, view.degree)
-    mode = Mode.EXPLORE
+    pe = (pe + 1) % degree
+    mode = EXPLORE
     if pe == stack[-1]:
-        mode = Mode.BACKTRACK
+        mode = BACKTRACK
         stack = stack[:-1]
-    return IndependentState(state.label, mode, pe, nxt, visited, stack), Move(pe), ()
+    return new_independent_state((label, mode, pe, rnd + 1, visited, stack)), move_to(pe), ()

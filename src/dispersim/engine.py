@@ -8,6 +8,7 @@ trace replays bit-exactly.  There is no floating point anywhere here.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from .agents import (
+    SETTLED,
     HelpingState,
     IndependentState,
     Mode,
@@ -30,6 +32,8 @@ from .algorithms import (
     SimulationInvariantError,
     helping_step,
     independent_step,
+    new_docked_handle,
+    new_local_view,
     settled_service,
 )
 from .analysis import RobotStats, RunReport, check_dispersion, sync_round_bound
@@ -239,9 +243,9 @@ class WorldState:
         state = HelpingState if helping else IndependentState
         self.states: list = [state(lab) for lab in range(1, k + 1)]
         self.docked: dict[int, int] = {}
-        # a docked helping robot's (visited, entry_port) visitor records,
-        # k+1 slots each, indexed by visitor label; None before docking
-        self.records: list[tuple[list[bool], list[int]] | None] = [None] * k
+        # a docked helping robot's visitor records, k+1 slots each indexed by
+        # visitor label: 0/1 visited bytes and entry ports; None before docking
+        self.records: list[tuple[bytearray, array] | None] = [None] * k
         # the handle an independent visitor sees at docked robot i (index i-1)
         self.handles = [DockedHandle(lab) for lab in range(1, k + 1)]
         # ascending labels; robots only ever leave it
@@ -268,8 +272,8 @@ class WorldState:
                 handle = self.handles[docked_lab - 1]
             else:
                 visited, entry_port = records
-                handle = DockedHandle(docked_lab, visited[lab], entry_port[lab])
-        return LocalView(len(self.graph.ports[node]), handle, self.pending_entry[lab - 1])
+                handle = new_docked_handle((docked_lab, visited[lab], entry_port[lab]))
+        return new_local_view((len(self.graph.ports[node]), handle, self.pending_entry[lab - 1]))
 
     def contenders_at(self, node: int) -> list[Contender]:
         return [
@@ -289,7 +293,7 @@ class WorldState:
 
     def apply_state(self, lab: int, state) -> None:
         old = self.states[lab - 1]
-        if old.mode is Mode.SETTLED and state.mode is not Mode.SETTLED:
+        if old.mode is SETTLED and state.mode is not SETTLED:
             raise SimulationInvariantError(
                 f"robot {lab} attempted to leave the settled mode"
             )
@@ -307,7 +311,7 @@ class WorldState:
         self.settle_time[lab - 1] = when
         self.unsettled.remove(lab)
         if self.helping:
-            self.records[lab - 1] = ([False] * (self.k + 1), [-1] * (self.k + 1))
+            self.records[lab - 1] = (bytearray(self.k + 1), array("i", [-1]) * (self.k + 1))
 
     def apply_iteration(self, lab: int, node: int, state, action, when: int) -> None:
         """Apply one active iteration's successor state; a DOCK action docks
@@ -411,8 +415,8 @@ def trace_record_line(
     if effects:
         help_ = ",".join(f"[{e.docked_label},{e.visitor_label},{e.entry_port}]" for e in effects)
     return (
-        f'{head}"robot":{robot},"node":{node},"mode_before":"{mode_before.value}",'
-        f'"mode_after":"{mode_after.value}","action":{act},"mutex":{mutex},"help":[{help_}]}}'
+        f'{head}"robot":{robot},"node":{node},"mode_before":"{mode_before._value_}",'
+        f'"mode_after":"{mode_after._value_}","action":{act},"mutex":{mutex},"help":[{help_}]}}'
     )
 
 
@@ -452,7 +456,7 @@ def _build_report(
     k, edges, delta = world.k, world.graph.edge_count, world.graph.max_degree
     if world.helping:
         # settling is absorbing: the final mode is the peak-memory mode
-        peaks = [memory_bits_helping(s.mode is Mode.SETTLED, k, delta, edges) for s in world.states]
+        peaks = [memory_bits_helping(s.mode is SETTLED, k, delta, edges) for s in world.states]
     else:
         peaks = [memory_bits_independent(d, k, delta) for d in world.peak_stack]
     robots = tuple(
@@ -494,10 +498,11 @@ def run_sync(
     round, computed from the pre-round snapshot.
 
     Within a round: every unsettled robot's step is computed against the
-    round-start world, each free node's mutex arbitrated at its first robot;
-    docks are applied (each event traced as it applies), then help records,
-    then all moves land with single-lane arrival ordering.  Stops early once
-    every robot settled (the world is static afterwards).
+    round-start world, each free node's mutex arbitrated at its first robot,
+    and its successor state applied and its event traced in that walk; then
+    docks are applied, then help records, then all moves land with
+    single-lane arrival ordering.  Stops early once every robot settled (the
+    world is static afterwards).
     """
     algorithm, world, step = _start(graph, placement, algorithm, True)
     bound = sync_round_bound(graph)
@@ -510,11 +515,13 @@ def run_sync(
         rounds_elapsed = rnd
 
         # node -> mutex winner, and the "mutex" value of its trace events;
-        # steps mutate nothing, so arbitrating inside this walk sees the
-        # round-start world
+        # docks, help records and moves wait for the end of the walk, so
+        # every view and arbitration sees the round-start world
         winners: dict[int, int] = {}
         arbitrations: dict[int, str] = {}
-        results = []
+        docks: list[tuple[int, int]] = []
+        help_records: list[HelpRecord] = []
+        moves: list[tuple[int, int]] = []
         for lab in world.unsettled:
             node = world.positions[lab - 1]
             view = world.local_view(lab)
@@ -522,24 +529,26 @@ def run_sync(
                 contenders, winners[node] = world.arbitrate(node, mutex_policy)
                 if trace_sink is not None:
                     arbitrations[node] = mutex_json(contenders, winners[node])
-            before = world.states[lab - 1].mode
-            state, action, effects = step(world.states[lab - 1], view, winners.get(node))
-            results.append((lab, node, before, state, action, effects))
-
-        moves: list[tuple[int, int]] = []
-        for lab, node, before, state, action, effects in results:
-            world.apply_iteration(lab, node, state, action, rnd)
+            old = world.states[lab - 1]
+            state, action, effects = step(old, view, winners.get(node))
+            # no step reads another robot's state: apply it at once
+            world.apply_state(lab, state)
+            world.active_iterations[lab - 1] += 1
             if isinstance(action, Move):
                 moves.append((lab, action.port))
+            else:
+                docks.append((lab, node))
+            help_records += effects
             if trace_sink is not None:
                 trace_sink(trace_record_line(
-                    event_no, rnd, lab, node, before, state.mode, action,
+                    event_no, rnd, lab, node, old.mode, state.mode, action,
                     arbitrations.get(node, "null"), effects,
                 ))
                 event_no += 1
-        for lab, node, before, state, action, effects in results:
-            for record in effects:
-                world.apply_help_record(record)
+        for lab, node in docks:
+            world.dock(lab, node, rnd)
+        for record in help_records:
+            world.apply_help_record(record)
         apply_moves_single_lane(world, moves)
 
     return _build_report(world, algorithm, rounds_elapsed, None, trace_sink)

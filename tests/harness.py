@@ -1,6 +1,7 @@
 """Shared test machinery: seeded random instances, a trace sink that parses
-what it receives, and the docking-disabled single-robot traversal harness
-used for DFS-oracle equivalence."""
+what it receives, a check of a step value's type and arity, and the
+docking-disabled single-robot traversal harness used for DFS-oracle
+equivalence."""
 
 from __future__ import annotations
 
@@ -24,6 +25,14 @@ STEP_FUNCTIONS = {"helping": helping_step, "independent": independent_step}
 def record_sink(records: list[dict]) -> Callable[[str], None]:
     """A trace sink that parses each line it receives into ``records``."""
     return lambda line: records.append(json.loads(line))
+
+
+def assert_exact(value, cls) -> None:
+    """``value`` is a ``cls`` holding exactly one item per field: the steps
+    and the engine build their values through ``tuple.__new__``, which
+    checks no arity."""
+    assert type(value) is cls
+    assert len(value) == len(cls._fields)
 
 
 def random_connected_instance(

@@ -6,6 +6,7 @@ import pytest
 
 from dispersim.agents import HelpingState, IndependentState, Mode
 from dispersim.algorithms import (
+    DOCK,
     Dock,
     DockedHandle,
     HelpRecord,
@@ -16,6 +17,8 @@ from dispersim.algorithms import (
     independent_step,
     settled_service,
 )
+
+from harness import assert_exact
 
 
 def view(degree, docked=None, entry=-1):
@@ -245,6 +248,59 @@ def test_steps_leave_their_inputs_unchanged(state, step):
     new, _, _ = step(state, v, None)
     assert (state, v) == before
     assert new != state
+
+
+EXPLORE, BACKTRACK, SETTLED = Mode.EXPLORE, Mode.BACKTRACK, Mode.SETTLED
+FRESH, SEEN = DockedHandle(1), DockedHandle(1, 1, 0)
+
+# id -> (step, state, view, mutex winner, mode after); together the cases
+# take every branch that returns from either step
+STEP_BRANCHES = {
+    "helping-dock": (helping_step, HelpingState(1), view(2), 1, SETTLED),
+    "helping-bounce": (helping_step, HelpingState(2, round=4), view(3, SEEN, 2), None, BACKTRACK),
+    "helping-first-visit": (
+        helping_step, HelpingState(2, round=4), view(3, FRESH, 1), None, EXPLORE
+    ),
+    "helping-loser": (helping_step, HelpingState(2), view(3), 1, EXPLORE),
+    "helping-backtrack": (
+        helping_step, HelpingState(2, BACKTRACK, round=5), view(3, SEEN, 1), None, EXPLORE
+    ),
+    "helping-wrap-to-parent": (
+        helping_step, HelpingState(2, round=3), view(1, FRESH, 0), None, BACKTRACK
+    ),
+    "independent-dock": (independent_step, IndependentState(1), view(3), 1, SETTLED),
+    "independent-bounce": (
+        independent_step, IndependentState(2, round=3, visited=0b10), view(3, FRESH, 2), None,
+        BACKTRACK,
+    ),
+    "independent-first-visit": (
+        independent_step, IndependentState(2, round=3), view(3, FRESH, 0), None, EXPLORE
+    ),
+    "independent-loser": (independent_step, IndependentState(2), view(3), 1, EXPLORE),
+    "independent-backtrack": (
+        independent_step, IndependentState(2, BACKTRACK, 0, 4, 0b10, (2,)), view(3, FRESH, 0),
+        None, EXPLORE,
+    ),
+    "independent-pop": (
+        independent_step, IndependentState(2, BACKTRACK, 0, 4, 0b10, (0, 1)), view(3, FRESH, 0),
+        None, BACKTRACK,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "step,state,v,winner,mode_after", STEP_BRANCHES.values(), ids=list(STEP_BRANCHES)
+)
+def test_step_values_keep_their_type_and_arity(step, state, v, winner, mode_after):
+    new, action, effects = step(state, v, winner)
+    assert new.mode is mode_after  # the case reaches the branch it names
+    assert_exact(new, type(state))
+    if mode_after is SETTLED:
+        assert action is DOCK
+    else:
+        assert_exact(action, Move)
+    for record in effects:
+        assert_exact(record, HelpRecord)
 
 
 # --- port arithmetic -------------------------------------------------------

@@ -12,6 +12,7 @@ from dispersim.agents import HelpingState, Mode, memory_bits_helping, memory_bit
 from dispersim.algorithms import (
     DockedHandle,
     HelpRecord,
+    LocalView,
     SimulationInvariantError,
     helping_step,
 )
@@ -32,7 +33,7 @@ from dispersim.engine import (
 )
 from dispersim.graph import InitialPlacement, build_graph, generate, relabel_nodes
 
-from harness import random_connected_instance, record_sink
+from harness import assert_exact, random_connected_instance, record_sink
 
 TRIANGLE = build_graph([(0, 1), (0, 2), (1, 2)])
 
@@ -126,6 +127,29 @@ def test_sync_triangle_final_configuration():
     assert [r.moves for r in report.robots] == [0, 1, 2]
     assert report.rounds_elapsed == 2
     assert report.mutex_contentions == 2
+
+
+@pytest.mark.parametrize("alg", [Algorithm.HELPING_SYNC, Algorithm.INDEPENDENT_SYNC])
+def test_robots_stepping_after_the_winner_see_the_round_start_world(monkeypatch, alg):
+    # robot 1 wins node 0 in round 0 and its successor state applies inside
+    # the walk, but its dock waits for the end of the round: robots 2 and 3,
+    # stepping later in that walk, still meet a free node and its arbitration
+    name = "helping_sync_step" if alg is Algorithm.HELPING_SYNC else "independent_step"
+    step, seen = getattr(engine, name), {}
+
+    def watched(state, view, mutex_winner):
+        if state.round == 0:
+            seen[state.label] = (view.docked, mutex_winner)
+        return step(state, view, mutex_winner)
+
+    monkeypatch.setattr(engine, name, watched)
+    records = []
+    assert run_sync(TRIANGLE, [0, 0, 0], alg, trace_sink=record_sink(records)).dispersed
+    first = [rec for rec in records if rec["round"] == 0]
+    assert [rec["robot"] for rec in first] == [1, 2, 3]
+    assert first[0]["action"] == {"type": "dock"}
+    assert seen == {1: (None, 1), 2: (None, 1), 3: (None, 1)}
+    assert [rec["mutex"] for rec in first] == [{"contenders": [1, 2, 3], "winner": 1}] * 3
 
 
 def test_sync_rejects_async_algorithm():
@@ -400,8 +424,9 @@ def test_visitor_records_exist_exactly_from_dock_in_helping_family(helping):
     world = WorldState(TRIANGLE, [0, 0, 0], helping=helping)
     assert world.records == [None] * 3
     world.dock(2, 0, 0)
-    blank = ([False] * 4, [-1] * 4)
-    assert world.records == [None, blank if helping else None, None]
+    blank = ([0] * 4, [-1] * 4)
+    contents = [None if r is None else tuple(map(list, r)) for r in world.records]
+    assert contents == [None, blank if helping else None, None]
     assert world.local_view(1).docked == DockedHandle(2)
 
 
@@ -416,7 +441,25 @@ def test_help_records_serve_first_visits_only():
     # a visitor recorded before it ever moved keeps the -1 sentinel
     world.apply_help_record(HelpRecord(1, 2, -1))
     assert world.local_view(2).docked == DockedHandle(1, True, -1)
-    assert world.records[0] == ([False, False, True, True], [-1, -1, -1, 2])
+    assert tuple(map(list, world.records[0])) == ([0, 0, 1, 1], [-1, -1, -1, 2])
+
+
+@pytest.mark.parametrize("helping", [True, False])
+def test_local_views_keep_their_type_and_arity(helping):
+    world = WorldState(TRIANGLE, [0, 0, 0, 1], helping=helping)
+    world.dock(1, 0, 0)
+    if helping:
+        world.apply_help_record(HelpRecord(1, 2, 1))
+    free, fresh, seen = (world.local_view(lab) for lab in (4, 3, 2))
+    for v in (free, fresh, seen):
+        assert_exact(v, LocalView)
+    assert free.docked is None
+    for v in (fresh, seen):
+        assert_exact(v.docked, DockedHandle)
+    if helping:
+        assert (fresh.docked, seen.docked) == (DockedHandle(1), DockedHandle(1, True, 1))
+    else:
+        assert fresh.docked is seen.docked is world.handles[0]
 
 
 @pytest.mark.parametrize(
