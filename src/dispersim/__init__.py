@@ -13,7 +13,6 @@ from .agents import (
 from .algorithms import (
     Action,
     Dock,
-    DockedHandle,
     HelpRecord,
     LocalView,
     Move,

@@ -7,11 +7,11 @@ records to apply at serving docked robots (always empty for the independent
 family).  Steps never mutate anything: the engine owns all state
 application, which keeps runs replayable from a single mutation point.
 
-A step sees only the local view: node degree, the docked robot's handle (its
-label and the viewer's own slots in its visitor records) and the viewer's
-entry port.  Co-located undocked robots meet only through the engine's mutex
-arbitration, whose winner the step receives.  Node identity is unreachable
-from here.
+A step sees only the local view: node degree, the docked robot's label, the
+viewer's entry port and, in the helping family, the viewer's own slots in the
+docked robot's visitor records.  Co-located undocked robots meet only through
+the engine's mutex arbitration, whose winner the step receives.  Node
+identity is unreachable from here.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .agents import BACKTRACK, EXPLORE, SETTLED, HelpingState, IndependentState
 
 __all__ = [
     "SimulationInvariantError",
-    "DockedHandle",
     "LocalView",
     "Move",
     "Dock",
@@ -42,23 +41,20 @@ class SimulationInvariantError(RuntimeError):
     """A run reached a state the model forbids; indicates a transcription bug."""
 
 
-class DockedHandle(NamedTuple):
-    """What a docked robot communicates to the viewing robot.
+class LocalView(NamedTuple):
+    """What a robot sees at its node.
 
-    ``visited_self`` (0/1) / ``entry_port_self`` are the viewer's own slots in
-    the docked robot's visitor records (helping family; independent visitors
-    only use the label).
+    ``docked`` is the docked robot's label, None at a free node;
+    ``visited_self`` (0/1) and ``entry_port_self`` are the viewer's own slots
+    in the docked robot's visitor records (helping family; independent
+    visitors only use the label).
     """
 
-    label: int
-    visited_self: bool = False
-    entry_port_self: int = -1
-
-
-class LocalView(NamedTuple):
     degree: int
-    docked: DockedHandle | None
+    docked: int | None
     entry_port: int
+    visited_self: int = 0
+    entry_port_self: int = -1
 
 
 class Move(NamedTuple):
@@ -70,7 +66,6 @@ class Move(NamedTuple):
 # arity; moves are shared, one per port
 new_helping_state = partial(tuple.__new__, HelpingState)
 new_independent_state = partial(tuple.__new__, IndependentState)
-new_docked_handle = partial(tuple.__new__, DockedHandle)
 new_local_view = partial(tuple.__new__, LocalView)
 move_to = cache(Move)
 
@@ -100,7 +95,7 @@ def settled_service(
     """One docked-robot service exchange with a visitor j, in place on the
     docked robot's visitor records: a first visit stores visited[j] = 1
     and entry_port[j] = visitor_port, a repeat visit changes nothing.  The
-    visitor reads its slots through its ``DockedHandle``, before the
+    visitor reads its slots through its ``LocalView``, before the
     exchange."""
     if not visited[visitor_label]:
         visited[visitor_label] = 1
@@ -125,7 +120,7 @@ def helping_step(
     label, mode, pe, pp, seen, rnd = state
     if mode is SETTLED:
         raise SimulationInvariantError(f"settled robot {label} has no active iterations")
-    degree, docked, entry_port = view
+    degree, docked, entry_port, visited_self, entry_port_self = view
 
     # successors are built positionally: (label, mode, port_entered,
     # parent_ptr, seen, round)
@@ -136,14 +131,14 @@ def helping_step(
 
     if docked is not None:
         # node claimed in an earlier round: read own slots at the dock
-        docked_label, seen, pp = docked
+        seen, pp = visited_self, entry_port_self
         if mode is EXPLORE:
             if seen:
                 # revisited node: bounce straight back the way we came
                 new = new_helping_state((label, BACKTRACK, pe, pp, seen, rnd + 1))
                 return new, move_to(pe), ()
             pp = pe
-            effects = (HelpRecord(docked_label, label, pe),)
+            effects = (HelpRecord(docked, label, pe),)
     elif mode is BACKTRACK:
         # the target of a backtrack always holds a docked robot
         raise SimulationInvariantError(
@@ -177,7 +172,7 @@ def independent_step(
     label, mode, pe, rnd, visited, stack = state
     if mode is SETTLED:
         raise SimulationInvariantError(f"settled robot {label} has no active iterations")
-    degree, docked, entry_port = view
+    degree, docked, entry_port, _, _ = view
 
     # successors are built positionally: (label, mode, port_entered, round,
     # visited, stack)
@@ -192,12 +187,12 @@ def independent_step(
         if not stack:
             raise SimulationInvariantError(f"robot {label} backtracking with an empty stack")
     else:
-        if docked is not None and visited >> docked.label & 1:
+        if docked is not None and visited >> docked & 1:
             # revisited node: bounce straight back the way we came
             new = new_independent_state((label, BACKTRACK, pe, rnd + 1, visited, stack))
             return new, move_to(pe), ()
         if docked is not None:
-            marked = docked.label
+            marked = docked
         else:
             if mutex_winner is None:
                 raise SimulationInvariantError(

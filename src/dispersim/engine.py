@@ -24,15 +24,12 @@ from .agents import (
     memory_bits_independent,
 )
 from .algorithms import (
-    Dock,
-    DockedHandle,
     HelpRecord,
     LocalView,
     Move,
     SimulationInvariantError,
     helping_step,
     independent_step,
-    new_docked_handle,
     new_local_view,
     settled_service,
 )
@@ -246,16 +243,12 @@ class WorldState:
         # a docked helping robot's visitor records, k+1 slots each indexed by
         # visitor label: 0/1 visited bytes and entry ports; None before docking
         self.records: list[tuple[bytearray, array] | None] = [None] * k
-        # the handle an independent visitor sees at docked robot i (index i-1)
-        self.handles = [DockedHandle(lab) for lab in range(1, k + 1)]
         # ascending labels; robots only ever leave it
         self.unsettled: list[int] = list(range(1, k + 1))
         self.pending_entry: list[int] = [-1] * k
         self.arrival_index: list[int] = [0] * k
         self.next_arrival: list[int] = [1] * graph.node_count
-        self.moves: list[int] = [0] * k
         self.settle_time: list[int | None] = [None] * k
-        self.active_iterations: list[int] = [0] * k
         self.peak_stack: list[int] = [0] * k
         self.mutex_contentions = 0
 
@@ -264,16 +257,12 @@ class WorldState:
 
     def local_view(self, lab: int) -> LocalView:
         node = self.positions[lab - 1]
-        docked_lab = self.docked.get(node)
-        handle = None
-        if docked_lab is not None:
-            records = self.records[docked_lab - 1]
-            if records is None:
-                handle = self.handles[docked_lab - 1]
-            else:
-                visited, entry_port = records
-                handle = new_docked_handle((docked_lab, visited[lab], entry_port[lab]))
-        return new_local_view((len(self.graph.ports[node]), handle, self.pending_entry[lab - 1]))
+        docked = self.docked.get(node)
+        degree, entry = len(self.graph.ports[node]), self.pending_entry[lab - 1]
+        if docked is None or not self.helping:
+            return new_local_view((degree, docked, entry, 0, -1))
+        visited, entry_port = self.records[docked - 1]
+        return new_local_view((degree, docked, entry, visited[lab], entry_port[lab]))
 
     def contenders_at(self, node: int) -> list[Contender]:
         return [
@@ -313,20 +302,13 @@ class WorldState:
         if self.helping:
             self.records[lab - 1] = (bytearray(self.k + 1), array("i", [-1]) * (self.k + 1))
 
-    def apply_iteration(self, lab: int, node: int, state, action, when: int) -> None:
-        """Apply one active iteration's successor state; a DOCK action docks
-        the robot at ``node`` at time ``when``."""
-        self.apply_state(lab, state)
-        self.active_iterations[lab - 1] += 1
-        if isinstance(action, Dock):
-            self.dock(lab, node, when)
-
     def settle_in_absentia(self, lab: int, node: int, when: int, step) -> None:
         """Dock a parked mutex winner during another robot's event: it runs
         its own step as its own mutex winner, which refreshes its entry port
         and docks."""
-        state, action, _ = step(self.states[lab - 1], self.local_view(lab), lab)
-        self.apply_iteration(lab, node, state, action, when)
+        state, _, _ = step(self.states[lab - 1], self.local_view(lab), lab)
+        self.apply_state(lab, state)
+        self.dock(lab, node, when)
 
     def apply_help_record(self, record: HelpRecord) -> None:
         records = self.records[record.docked_label - 1]
@@ -344,7 +326,6 @@ class WorldState:
         self.pending_entry[lab - 1] = entry
         self.arrival_index[lab - 1] = self.next_arrival[dest]
         self.next_arrival[dest] += 1
-        self.moves[lab - 1] += 1
 
 
 def apply_moves_single_lane(world: WorldState, moves: Sequence[tuple[int, int]]) -> None:
@@ -459,16 +440,19 @@ def _build_report(
         peaks = [memory_bits_helping(s.mode is SETTLED, k, delta, edges) for s in world.states]
     else:
         peaks = [memory_bits_independent(d, k, delta) for d in world.peak_stack]
+    # every step advances the round counter and moves or docks, and a
+    # settled robot never steps again: the counter is the iteration count,
+    # and all but the docking iteration moved
     robots = tuple(
         RobotStats(
             label=lab,
-            moves=world.moves[lab - 1],
+            moves=s.round - (s.mode is SETTLED),
             settle_time=world.settle_time[lab - 1],
-            active_iterations=world.active_iterations[lab - 1],
+            active_iterations=s.round,
             peak_memory_bits=peaks[lab - 1],
             peak_stack_depth=None if world.helping else world.peak_stack[lab - 1],
         )
-        for lab in range(1, world.k + 1)
+        for lab, s in enumerate(world.states, 1)
     )
     return RunReport(
         algorithm=algorithm.value,
@@ -533,7 +517,6 @@ def run_sync(
             state, action, effects = step(old, view, winners.get(node))
             # no step reads another robot's state: apply it at once
             world.apply_state(lab, state)
-            world.active_iterations[lab - 1] += 1
             if isinstance(action, Move):
                 moves.append((lab, action.port))
             else:
@@ -588,12 +571,14 @@ def run_async(
 
         if mutex is not None and mutex[1] != lab:
             world.settle_in_absentia(mutex[1], node, event, step)
-        world.apply_iteration(lab, node, state, action, event)
+        world.apply_state(lab, state)
         for record in effects:
             world.apply_help_record(record)
         if isinstance(action, Move):
             dest, entry = graph.traverse(node, action.port)
             world.move_robot(lab, dest, entry)
+        else:
+            world.dock(lab, node, event)
 
         if trace_sink is not None:
             trace_sink(trace_record_line(

@@ -10,13 +10,7 @@ import random
 from typing import Callable
 
 from dispersim.agents import HelpingState, IndependentState
-from dispersim.algorithms import (
-    DockedHandle,
-    LocalView,
-    Move,
-    helping_step,
-    independent_step,
-)
+from dispersim.algorithms import LocalView, Move, helping_step, independent_step
 from dispersim.graph import InitialPlacement, PortLabeledGraph, build_graph, generate
 
 STEP_FUNCTIONS = {"helping": helping_step, "independent": independent_step}
@@ -75,7 +69,7 @@ def traversal_without_docking(
 
     phantom_at: dict[int, int] = {}
     phantom_node: dict[int, int] = {}
-    slots: dict[int, tuple[bool, int]] = {}
+    slots: dict[int, tuple[int, int]] = {}
     next_phantom = 2
     target = 4 * graph.edge_count - 2 * graph.node_count + 2
     pos = start
@@ -86,24 +80,19 @@ def traversal_without_docking(
         degree = graph.degree(pos)
         winner = None
         if pos in phantom_at:
-            label = phantom_at[pos]
-            if helping:
-                visited_bit, port = slots[pos]
-                handle = DockedHandle(label, visited_bit, port)
-            else:
-                handle = DockedHandle(label)
-            view = LocalView(degree, handle, pending)
+            # independent robots emit no help records: their slots stay blank
+            view = LocalView(degree, phantom_at[pos], pending, *slots[pos])
         else:
             phantom_at[pos] = next_phantom
             phantom_node[next_phantom] = pos
-            slots[pos] = (False, -1)
+            slots[pos] = (0, -1)
             winner = next_phantom
             next_phantom += 1
             view = LocalView(degree, None, pending)
 
         state, action, effects = step(state, view, winner)
         for record in effects:
-            slots[phantom_node[record.docked_label]] = (True, record.entry_port)
+            slots[phantom_node[record.docked_label]] = (1, record.entry_port)
         assert isinstance(action, Move), f"robot emitted {action!r} while docking is disabled"
         dest, entry = graph.traverse(pos, action.port)
         seq.append((pos, dest))

@@ -8,7 +8,6 @@ from dispersim.agents import HelpingState, IndependentState, Mode
 from dispersim.algorithms import (
     DOCK,
     Dock,
-    DockedHandle,
     HelpRecord,
     LocalView,
     Move,
@@ -21,8 +20,11 @@ from dispersim.algorithms import (
 from harness import assert_exact
 
 
-def view(degree, docked=None, entry=-1):
-    return LocalView(degree=degree, docked=docked, entry_port=entry)
+def view(degree, docked=None, entry=-1, slots=(0, -1)):
+    """The view at a node of ``degree``: the docked robot's label (None at a
+    free node), the entry port, and the viewer's own (visited, entry port)
+    slots in the docked robot's records."""
+    return LocalView(degree, docked, entry, *slots)
 
 
 # --- docking alone -------------------------------------------------------
@@ -48,8 +50,7 @@ def test_lone_independent_robot_docks_immediately():
 
 def test_seen_node_triggers_backtrack_through_entry_port():
     state = HelpingState(2)._replace(round=4)
-    docked = DockedHandle(label=1, visited_self=True, entry_port_self=0)
-    new, action, effects = helping_step(state, view(3, docked, entry=2), None)
+    new, action, effects = helping_step(state, view(3, 1, entry=2, slots=(1, 0)), None)
     assert new.mode is Mode.BACKTRACK
     assert action == Move(2)  # back the way it came
     assert new.parent_ptr == 0  # first-entry port received from the dock
@@ -58,8 +59,7 @@ def test_seen_node_triggers_backtrack_through_entry_port():
 
 def test_first_visit_records_entry_and_advances():
     state = HelpingState(2)._replace(round=4)
-    docked = DockedHandle(label=1, visited_self=False, entry_port_self=-1)
-    new, action, effects = helping_step(state, view(3, docked, entry=1), None)
+    new, action, effects = helping_step(state, view(3, 1, entry=1), None)
     assert new.mode is Mode.EXPLORE
     assert action == Move(2)  # (1 + 1) mod 3
     assert new.parent_ptr == 1
@@ -69,8 +69,7 @@ def test_first_visit_records_entry_and_advances():
 def test_first_visit_wraps_to_parent_and_backtracks():
     # advancing from the entry port on a degree-1 node returns to it
     state = HelpingState(2)._replace(round=4)
-    docked = DockedHandle(label=1, visited_self=False, entry_port_self=-1)
-    new, action, effects = helping_step(state, view(1, docked, entry=0), None)
+    new, action, effects = helping_step(state, view(1, 1, entry=0), None)
     assert new.mode is Mode.BACKTRACK
     assert action == Move(0)
     assert effects == (HelpRecord(1, 2, 0),)
@@ -104,7 +103,7 @@ def test_independent_loser_marks_winner_and_pushes():
 def test_independent_first_visit_pushes_and_advances():
     state = IndependentState(2)._replace(round=3)
     new, action, _ = independent_step(
-        state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
+        state, view(2, 1, entry=0), mutex_winner=None
     )
     assert new.visited == 1 << 1
     assert new.stack == (0,)
@@ -115,7 +114,7 @@ def test_independent_first_visit_pushes_and_advances():
 def test_independent_leaf_pushes_then_pops():
     state = IndependentState(2)._replace(round=3)
     new, action, _ = independent_step(
-        state, view(1, DockedHandle(label=1), entry=0), mutex_winner=None
+        state, view(1, 1, entry=0), mutex_winner=None
     )
     assert new.stack == ()  # pushed 0, advanced back onto it, popped
     assert new.mode is Mode.BACKTRACK
@@ -126,7 +125,7 @@ def test_independent_revisit_bounces_back():
     state = IndependentState(2)._replace(round=3)
     state = state._replace(visited=1 << 1)
     new, action, _ = independent_step(
-        state, view(3, DockedHandle(label=1), entry=2), mutex_winner=None
+        state, view(3, 1, entry=2), mutex_winner=None
     )
     assert new.mode is Mode.BACKTRACK
     assert action == Move(2)
@@ -138,7 +137,7 @@ def test_independent_backtrack_resumes_exploring_when_port_differs():
         round=3, mode=Mode.BACKTRACK, stack=(-1,)
     )
     new, action, _ = independent_step(
-        state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
+        state, view(2, 1, entry=0), mutex_winner=None
     )
     assert new.mode is Mode.EXPLORE  # advanced port 1 differs from stack top -1
     assert action == Move(1)
@@ -150,7 +149,7 @@ def test_independent_backtrack_pops_on_parent_port():
         round=3, mode=Mode.BACKTRACK, stack=(-1, 1)
     )
     new, action, _ = independent_step(
-        state, view(2, DockedHandle(label=1), entry=0), mutex_winner=None
+        state, view(2, 1, entry=0), mutex_winner=None
     )
     assert new.mode is Mode.BACKTRACK
     assert action == Move(1)
@@ -203,7 +202,7 @@ def test_backtrack_into_free_node_is_hard_failure():
 def test_backtrack_with_empty_stack_is_hard_failure():
     state = IndependentState(1)._replace(mode=Mode.BACKTRACK, round=2)
     with pytest.raises(SimulationInvariantError):
-        independent_step(state, view(2, DockedHandle(label=2), entry=0), None)
+        independent_step(state, view(2, 2, entry=0), None)
 
 
 def test_free_node_without_arbitration_is_hard_failure():
@@ -221,7 +220,6 @@ def test_free_node_without_arbitration_is_hard_failure():
         (HelpingState(1), "mode"),
         (IndependentState(1), "stack"),
         (LocalView(2, None, -1), "degree"),
-        (DockedHandle(1), "visited_self"),
         (Move(0), "port"),
         (HelpRecord(1, 2, 0), "entry_port"),
     ],
@@ -243,7 +241,7 @@ def test_step_values_are_immutable(value, field):
 def test_steps_leave_their_inputs_unchanged(state, step):
     # a first visit at a docked node: the step records a help entry or pushes
     # onto the stack, and must do so in its successor only
-    v = view(3, DockedHandle(1), entry=1)
+    v = view(3, 1, entry=1)
     before = deepcopy((state, v))
     new, _, _ = step(state, v, None)
     assert (state, v) == before
@@ -251,38 +249,40 @@ def test_steps_leave_their_inputs_unchanged(state, step):
 
 
 EXPLORE, BACKTRACK, SETTLED = Mode.EXPLORE, Mode.BACKTRACK, Mode.SETTLED
-FRESH, SEEN = DockedHandle(1), DockedHandle(1, 1, 0)
+SEEN = (1, 0)  # the viewer's slots once docked robot 1 has recorded it
 
 # id -> (step, state, view, mutex winner, mode after); together the cases
 # take every branch that returns from either step
 STEP_BRANCHES = {
     "helping-dock": (helping_step, HelpingState(1), view(2), 1, SETTLED),
-    "helping-bounce": (helping_step, HelpingState(2, round=4), view(3, SEEN, 2), None, BACKTRACK),
+    "helping-bounce": (
+        helping_step, HelpingState(2, round=4), view(3, 1, 2, SEEN), None, BACKTRACK
+    ),
     "helping-first-visit": (
-        helping_step, HelpingState(2, round=4), view(3, FRESH, 1), None, EXPLORE
+        helping_step, HelpingState(2, round=4), view(3, 1, 1), None, EXPLORE
     ),
     "helping-loser": (helping_step, HelpingState(2), view(3), 1, EXPLORE),
     "helping-backtrack": (
-        helping_step, HelpingState(2, BACKTRACK, round=5), view(3, SEEN, 1), None, EXPLORE
+        helping_step, HelpingState(2, BACKTRACK, round=5), view(3, 1, 1, SEEN), None, EXPLORE
     ),
     "helping-wrap-to-parent": (
-        helping_step, HelpingState(2, round=3), view(1, FRESH, 0), None, BACKTRACK
+        helping_step, HelpingState(2, round=3), view(1, 1, 0), None, BACKTRACK
     ),
     "independent-dock": (independent_step, IndependentState(1), view(3), 1, SETTLED),
     "independent-bounce": (
-        independent_step, IndependentState(2, round=3, visited=0b10), view(3, FRESH, 2), None,
+        independent_step, IndependentState(2, round=3, visited=0b10), view(3, 1, 2), None,
         BACKTRACK,
     ),
     "independent-first-visit": (
-        independent_step, IndependentState(2, round=3), view(3, FRESH, 0), None, EXPLORE
+        independent_step, IndependentState(2, round=3), view(3, 1, 0), None, EXPLORE
     ),
     "independent-loser": (independent_step, IndependentState(2), view(3), 1, EXPLORE),
     "independent-backtrack": (
-        independent_step, IndependentState(2, BACKTRACK, 0, 4, 0b10, (2,)), view(3, FRESH, 0),
+        independent_step, IndependentState(2, BACKTRACK, 0, 4, 0b10, (2,)), view(3, 1, 0),
         None, EXPLORE,
     ),
     "independent-pop": (
-        independent_step, IndependentState(2, BACKTRACK, 0, 4, 0b10, (0, 1)), view(3, FRESH, 0),
+        independent_step, IndependentState(2, BACKTRACK, 0, 4, 0b10, (0, 1)), view(3, 1, 0),
         None, BACKTRACK,
     ),
 }
@@ -301,6 +301,19 @@ def test_step_values_keep_their_type_and_arity(step, state, v, winner, mode_afte
         assert_exact(action, Move)
     for record in effects:
         assert_exact(record, HelpRecord)
+
+
+@pytest.mark.parametrize(
+    "state,v,winner",
+    [case[1:4] for name, case in STEP_BRANCHES.items() if name.startswith("independent-")],
+    ids=[name for name in STEP_BRANCHES if name.startswith("independent-")],
+)
+def test_independent_step_ignores_the_helping_slots(state, v, winner):
+    # the families differ only where the paper says: an independent visitor
+    # reads the docked robot's label and nothing of its visitor records
+    blank = independent_step(state, v._replace(visited_self=0, entry_port_self=-1), winner)
+    filled = independent_step(state, v._replace(visited_self=1, entry_port_self=3), winner)
+    assert filled == blank
 
 
 # --- port arithmetic -------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dispersim import cli, engine
 from dispersim.agents import HelpingState, Mode, memory_bits_helping, memory_bits_independent
 from dispersim.algorithms import (
-    DockedHandle,
     HelpRecord,
     LocalView,
     SimulationInvariantError,
@@ -419,6 +418,11 @@ def test_both_engines_bind_the_one_helping_step():
     assert engine.helping_sync_step is engine.helping_async_step is helping_step
 
 
+def slots(view):
+    """The docked robot's label and the viewer's own slots in its records."""
+    return view.docked, view.visited_self, view.entry_port_self
+
+
 @pytest.mark.parametrize("helping", [True, False])
 def test_visitor_records_exist_exactly_from_dock_in_helping_family(helping):
     world = WorldState(TRIANGLE, [0, 0, 0], helping=helping)
@@ -427,20 +431,20 @@ def test_visitor_records_exist_exactly_from_dock_in_helping_family(helping):
     blank = ([0] * 4, [-1] * 4)
     contents = [None if r is None else tuple(map(list, r)) for r in world.records]
     assert contents == [None, blank if helping else None, None]
-    assert world.local_view(1).docked == DockedHandle(2)
+    assert slots(world.local_view(1)) == (2, 0, -1)
 
 
 def test_help_records_serve_first_visits_only():
     world = WorldState(TRIANGLE, [0, 0, 0], helping=True)
     world.dock(1, 0, 0)
     world.apply_help_record(HelpRecord(1, 3, 2))
-    assert world.local_view(3).docked == DockedHandle(1, True, 2)
+    assert slots(world.local_view(3)) == (1, 1, 2)
     # a repeat visit keeps the first entry port
     world.apply_help_record(HelpRecord(1, 3, 0))
-    assert world.local_view(3).docked == DockedHandle(1, True, 2)
+    assert slots(world.local_view(3)) == (1, 1, 2)
     # a visitor recorded before it ever moved keeps the -1 sentinel
     world.apply_help_record(HelpRecord(1, 2, -1))
-    assert world.local_view(2).docked == DockedHandle(1, True, -1)
+    assert slots(world.local_view(2)) == (1, 1, -1)
     assert tuple(map(list, world.records[0])) == ([0, 0, 1, 1], [-1, -1, -1, 2])
 
 
@@ -453,13 +457,10 @@ def test_local_views_keep_their_type_and_arity(helping):
     free, fresh, seen = (world.local_view(lab) for lab in (4, 3, 2))
     for v in (free, fresh, seen):
         assert_exact(v, LocalView)
-    assert free.docked is None
-    for v in (fresh, seen):
-        assert_exact(v.docked, DockedHandle)
-    if helping:
-        assert (fresh.docked, seen.docked) == (DockedHandle(1), DockedHandle(1, True, 1))
-    else:
-        assert fresh.docked is seen.docked is world.handles[0]
+    assert slots(free) == (None, 0, -1)
+    assert slots(fresh) == (1, 0, -1)
+    # an independent visitor's slots stay blank: its docked robot keeps no records
+    assert slots(seen) == ((1, 1, 1) if helping else (1, 0, -1))
 
 
 @pytest.mark.parametrize(
@@ -494,7 +495,6 @@ def test_settle_in_absentia_refreshes_entry_port_like_own_iteration(helping):
         assert settled.parent_ptr == 0 and settled.seen is False
     assert world.docked == {1: 1}
     assert world.settle_time[0] == 7
-    assert world.active_iterations[0] == 1
     assert world.unsettled == [2]
 
 
@@ -625,6 +625,65 @@ def test_random_instances_disperse_with_valid_invariants(seed):
         depth = report.max_stack_depth
         if depth is not None:
             assert depth <= k - 1
+
+
+def _counters_from_trace(records, k: int, sync: bool) -> list[tuple]:
+    """Each robot's (active_iterations, moves, settle_time), rebuilt from the
+    trace alone: one iteration per own line, plus, in the asynchronous engine,
+    the docking iteration of a mutex winner settled in absentia during
+    another robot's event, which has no line of its own."""
+    iterations, moves, settled = [0] * (k + 1), [0] * (k + 1), [None] * (k + 1)
+    for rec in records:
+        lab, when = rec["robot"], rec["round"] if sync else rec["event"]
+        iterations[lab] += 1
+        if rec["action"]["type"] == "move":
+            moves[lab] += 1
+        else:
+            settled[lab] = when
+        winner = rec["mutex"] and rec["mutex"]["winner"]
+        if not sync and winner and winner != lab and settled[winner] is None:
+            iterations[winner] += 1
+            settled[winner] = when
+    return [(iterations[lab], moves[lab], settled[lab]) for lab in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("mutex", list(MutexPolicy))
+@pytest.mark.parametrize(
+    "alg,scheduler",
+    [
+        (Algorithm.HELPING_SYNC, None),
+        (Algorithm.INDEPENDENT_SYNC, None),
+        *(
+            (alg, scheduler)
+            for alg in (Algorithm.HELPING_ASYNC, Algorithm.INDEPENDENT_ASYNC)
+            for scheduler in (RoundRobin(), SeededRandom(seed=5), AdversarialStalling())
+        ),
+    ],
+    ids=lambda v: v.value if isinstance(v, Algorithm) else v and type(v).__name__,
+)
+def test_report_counters_match_the_trace(alg, scheduler, mutex):
+    # a second witness of the per-robot counters, which the report derives
+    # from each robot's round counter
+    rng = random.Random(23)
+    # events won by another robot: in the async engine, each settles the
+    # parked winner in absentia
+    in_absentia = 0
+    for _ in range(12):
+        g, scattered = random_connected_instance(rng, n_max=16)
+        k = scattered.robot_count
+        colocated = [rng.randrange(g.node_count)] * k
+        for placement in (scattered, colocated):
+            records = []
+            report = run(g, placement, alg, scheduler, mutex, trace_sink=record_sink(records))
+            assert report.dispersed
+            counters = [(r.active_iterations, r.moves, r.settle_time) for r in report.robots]
+            assert counters == _counters_from_trace(records, k, alg.is_sync)
+            in_absentia += sum(
+                bool(rec["mutex"]) and rec["mutex"]["winner"] != rec["robot"] for rec in records
+            )
+    if isinstance(scheduler, SeededRandom):
+        # the witness's in-absentia branch is taken
+        assert in_absentia > 0
 
 
 # the trace schema's key order for a header line and for an event line
