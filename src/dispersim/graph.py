@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -76,37 +77,41 @@ class PortLabeledGraph:
             raise GraphError("graph must have at least one node")
         if len(ports) != n:
             raise GraphError("port table count does not match node count")
-        degree_sum = 0
-        for v, table in enumerate(ports):
-            degree_sum += len(table)
-            for p, (u, q) in enumerate(table):
+        # one walk: far ends lead back, no index is < 0, named_by catches repeats
+        named_by = [-1] * n
+        try:
+            for v, table in enumerate(ports):
+                p = 0
+                for u, q in table:
+                    w, r = ports[u][q]
+                    if w != v or r != p or u == v or u < 0 or q < 0 or named_by[u] == v:
+                        raise ValueError
+                    named_by[u] = v
+                    p += 1
+        except (IndexError, ValueError):  # v broke: its first bad port, else a repeat
+            for p, (u, q) in enumerate(ports[v]):
                 if not 0 <= u < n:
-                    raise GraphError(f"node {v} port {p} points at invalid node {u}")
+                    raise GraphError(f"node {v} port {p} points at invalid node {u}") from None
                 if u == v:
-                    raise GraphError(f"self-loop at node {v} (port {p})")
-                back = ports[u]
-                if not 0 <= q < len(back) or back[q] != (v, p):
+                    raise GraphError(f"self-loop at node {v} (port {p})") from None
+                if not 0 <= q < len(ports[u]) or ports[u][q] != (v, p):
                     raise GraphError(
                         f"port involution broken: {v} --{p}--> {u} "
                         f"but node {u} port {q} does not return via port {p}"
-                    )
-            # a dict keyed by neighbor drops a repeated one
-            if len(dict(table)) != len(table):
-                raise GraphError(f"multi-edge at node {v}")
-        if degree_sum != 2 * self.edge_count:
-            raise GraphError(
-                f"degree sum {degree_sum} does not equal 2*m = {2 * self.edge_count}"
-            )
+                    ) from None
+            raise GraphError(f"multi-edge at node {v}") from None
+        degree_sum, twice_m = sum(map(len, ports)), 2 * self.edge_count
+        if degree_sum != twice_m:
+            raise GraphError(f"degree sum {degree_sum} does not equal 2*m = {twice_m}")
         # the involution holds: ports from node 0 reach its whole component
-        reached = bytearray(n)
+        reached, todo = bytearray(n), [0]
         reached[0] = 1
-        todo = [0]
-        while todo:
-            for u, _ in ports[todo.pop()]:
+        for v in todo:
+            for u, _ in ports[v]:
                 if not reached[u]:
                     reached[u] = 1
                     todo.append(u)
-        if 0 in reached:
+        if len(todo) != n:
             raise GraphError("graph is not connected")
 
 
@@ -131,86 +136,84 @@ class InitialPlacement:
                 raise GraphError(f"robot {i + 1} placed at invalid node {v}")
 
 
-def _check_edges(
-    edges: Sequence[tuple[int, int]], node_count: int | None
-) -> tuple[int, list[tuple[int, int]]]:
-    seen: set[tuple[int, int]] = set()
-    cleaned = list(edges)
-    max_node = -1
-    for u, v in cleaned:
-        if u == v:
-            raise GraphError(f"self-loop on node {u}")
-        key = (u, v) if u < v else (v, u)
-        if key[0] < 0:
-            raise GraphError(f"negative node index in edge ({u},{v})")
-        if key in seen:
-            raise GraphError(f"duplicate edge ({u},{v})")
-        seen.add(key)
-        if key[1] > max_node:
-            max_node = key[1]
-    n = max_node + 1 if node_count is None else node_count
-    if n < 1:
-        raise GraphError("graph must have at least one node")
-    if max_node >= n:
-        raise GraphError(f"edge endpoint {max_node} exceeds node count {n}")
-    return n, cleaned
-
-
 def build_graph(
     edges: Sequence[tuple[int, int]],
     ports: str | Mapping[int, Sequence[int]] = "canonical",
     seed: int | None = None,
     node_count: int | None = None,
 ) -> PortLabeledGraph:
-    """Build a port-labeled graph from a simple connected undirected edge list.
-
-    Port assignment:
+    """Build a port-labeled graph from a simple connected undirected edge list;
+    every generated, parsed or relabeled graph is built here. Port assignment:
 
     * ``"canonical"``: each node's ports follow edge-list order, so the j-th
       edge incident to ``v`` in the given list gets port j at ``v``.
-    * ``"random"``: reproducible shuffle. Starting from the canonical
-      adjacency lists, a single ``random.Random(seed)`` shuffles each node's
-      list in ascending node order; the shuffled position of a neighbor is
-      its port.
-    * explicit mapping ``{node: [neighbors in port order]}``: listed nodes
-      use the given order (must be a permutation of that node's neighbors);
-      unlisted nodes stay canonical.
+    * ``"random"``: one ``random.Random(seed)`` shuffles each node's canonical
+      list in ascending node order; a neighbor's shuffled position is its port.
+    * a mapping ``{node: [neighbors in port order]}``: listed nodes take that
+      order (a permutation of their neighbors); the rest stay canonical.
 
     Rejects self-loops, duplicate edges, disconnected inputs, and malformed
     permutations with a diagnostic naming the offending node or edge.
     """
-    n, cleaned = _check_edges(edges, node_count)
-    if len(cleaned) < n - 1:
-        # refused before anything is allocated per node
-        raise GraphError("graph is not connected")
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in cleaned:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    if ports == "random":
-        rng = random.Random(seed)
-        for v in range(n):
-            rng.shuffle(adjacency[v])
-    elif isinstance(ports, Mapping):
-        for v, order in ports.items():
-            if not 0 <= v < n:
-                raise GraphError(f"port permutation given for unknown node {v}")
-            if sorted(order) != sorted(adjacency[v]):
-                raise GraphError(
-                    f"port permutation for node {v} is not a permutation "
-                    f"of its neighbors {sorted(adjacency[v])}"
-                )
-            adjacency[v] = list(order)
-    elif ports != "canonical":
-        raise GraphError(f"unknown port assignment {ports!r}")
-
-    position = [{u: p for p, u in enumerate(adj)} for adj in adjacency]
-    tables = tuple(
-        tuple([(u, position[u][v]) for u in adj]) for v, adj in enumerate(adjacency)
-    )
-    graph = PortLabeledGraph(node_count=n, edge_count=len(cleaned), ports=tables)
-    graph.validate()
+    cleaned = list(edges)
+    n = max(map(max, cleaned), default=-1) + 1 if node_count is None else node_count
+    try:
+        if len(cleaned) < n - 1:
+            # refused before anything is allocated per node
+            raise GraphError("graph is not connected")
+        reordered = ports == "random"
+        if ports != "canonical":
+            adjacency: list[Sequence[int]] = [[] for _ in range(n)]
+            for u, v in cleaned:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+            if reordered:
+                rng = random.Random(seed)
+                for adj in adjacency:
+                    rng.shuffle(adj)
+            elif isinstance(ports, Mapping):
+                for v, order in ports.items():
+                    if not 0 <= v < n:
+                        raise GraphError(f"port permutation given for unknown node {v}")
+                    if order != (adj := adjacency[v]):
+                        # distinct neighbors: equal sizes and sets make a permutation
+                        if len(order) != len(adj) or set(order) != set(adj):
+                            raise GraphError(f"port permutation for node {v} is not a "
+                                             f"permutation of its neighbors {sorted(adj)}")
+                        adjacency[v], reordered = order, True
+            else:
+                raise GraphError(f"unknown port assignment {ports!r}")
+        if reordered:
+            # each node's port for each neighbor, then one lookup per port
+            position = list(map(dict, map(zip, adjacency, repeat(range(n)))))
+            tables = [[(u, position[u][v]) for u in adj] for v, adj in enumerate(adjacency)]
+        else:
+            # in edge-list order, each end's port is its count of edges so far
+            tables = [[] for _ in range(n)]
+            for u, v in cleaned:
+                at_u, at_v = tables[u], tables[v]
+                at_u.append((v, len(at_v)))
+                at_v.append((u, len(at_u) - 1))
+        graph = PortLabeledGraph(n, len(cleaned), tuple(map(tuple, tables)))
+        graph.validate()
+    except (GraphError, IndexError, KeyError):
+        # a bad edge breaks a step above: name the first, ahead of any other fault
+        seen: set[tuple[int, int]] = set()
+        for u, v in cleaned:
+            if u == v:
+                raise GraphError(f"self-loop on node {u}") from None
+            key = (u, v) if u < v else (v, u)
+            if key[0] < 0:
+                raise GraphError(f"negative node index in edge ({u},{v})") from None
+            if key in seen:
+                raise GraphError(f"duplicate edge ({u},{v})") from None
+            seen.add(key)
+        if n < 1:
+            raise GraphError("graph must have at least one node") from None
+        if max(map(max, cleaned), default=-1) >= n:
+            top = max(map(max, cleaned))
+            raise GraphError(f"edge endpoint {top} exceeds node count {n}") from None
+        raise
     return graph
 
 
@@ -321,12 +324,9 @@ def relabel_nodes(g: PortLabeledGraph, permutation: Sequence[int]) -> PortLabele
     """
     if sorted(permutation) != list(range(g.node_count)):
         raise GraphError("relabeling must be a permutation of all nodes")
-    tables: list[tuple[tuple[int, int], ...]] = [()] * g.node_count
-    for v in range(g.node_count):
-        tables[permutation[v]] = tuple((permutation[u], q) for u, q in g.ports[v])
-    out = PortLabeledGraph(g.node_count, g.edge_count, tuple(tables))
-    out.validate()
-    return out
+    edges = [(permutation[u], permutation[v]) for u, v in g.edges()]
+    orders = {permutation[v]: [permutation[u] for u, _ in t] for v, t in enumerate(g.ports)}
+    return build_graph(edges, ports=orders, node_count=g.node_count)
 
 
 def graph_to_text(g: PortLabeledGraph) -> str:

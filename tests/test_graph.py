@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dispersim.graph import (
     GraphError,
     InitialPlacement,
+    PortLabeledGraph,
     _edges_connected,
     _gnm_edges,
     _grid_dimensions,
@@ -246,8 +247,17 @@ def test_codec_at_benchmark_size_is_pinned(family, n, m):
         ("3 3\n0 1\n0 2\n1 2\n1: 0->0 1->0\n", 1),
         ("3 3\n0 1\n0 2\n1 2\n2: 0->1\n", 2),
         ("3 2\n0 1\n1 2\n3: 0->1\n", 3),
+        ("3 2\n0 1\n1 2\n-1: 0->1\n", -1),
+        ("3 3\n0 1\n1 2\n0 2\n0: 0->1 1->2\n1: 0->0\n2: 0->0\n", 1),
     ],
-    ids=["not-a-neighbor", "neighbor-twice", "short-line", "node-out-of-range"],
+    ids=[
+        "not-a-neighbor",
+        "neighbor-twice",
+        "short-line",
+        "node-out-of-range",
+        "negative-node",
+        "edge-missing-from-port-block",
+    ],
 )
 def test_text_rejects_a_port_line_that_disagrees_with_the_edges(text, node):
     with pytest.raises(GraphError, match=rf"node {node}\b"):
@@ -268,6 +278,98 @@ def test_text_rejects_a_port_line_that_disagrees_with_the_edges(text, node):
 def test_text_names_the_line_of_a_non_integer_token(text, line):
     with pytest.raises(GraphError, match=f"in line '{line}'"):
         graph_from_text(text)
+
+
+# expected tables recorded before port tables were built in one pass
+@pytest.mark.parametrize(
+    "text,ports",
+    [
+        (
+            "4 4\n2 3\n1 0\n3 0\n1 2\n",
+            (((1, 0), (3, 1)), ((0, 0), (2, 1)), ((3, 0), (1, 1)), ((2, 0), (0, 1))),
+        ),
+        (
+            "4 4\n2 3\n1 0\n3 0\n1 2\n3: 0->0 1->2\n",
+            (((1, 0), (3, 0)), ((0, 0), (2, 1)), ((3, 1), (1, 1)), ((0, 1), (2, 0))),
+        ),
+        (
+            "6 7\n4 5\n0 3\n2 1\n5 0\n3 4\n1 0\n2 5\n1: 0->2 1->0\n5: 0->0 1->4 2->2\n",
+            (
+                ((3, 0), (5, 0), (1, 1)),
+                ((2, 0), (0, 2)),
+                ((1, 0), (5, 2)),
+                ((0, 0), (4, 1)),
+                ((5, 1), (3, 1)),
+                ((0, 1), (4, 0), (2, 1)),
+            ),
+        ),
+    ],
+    ids=["edges-out-of-order", "partial-port-block", "partial-block-out-of-order"],
+)
+def test_text_that_graph_to_text_never_writes(text, ports):
+    assert graph_from_text(text).ports == ports
+
+
+def _tables(*tables):
+    return tuple(tuple(t) for t in tables)
+
+
+def _involution_broken(v, p, u, q):
+    return (
+        f"port involution broken: {v} --{p}--> {u} "
+        f"but node {u} port {q} does not return via port {p}"
+    )
+
+
+# one hand-built table per diagnostic, then pairs of faults where the one
+# checked first must be named
+@pytest.mark.parametrize(
+    "n,m,ports,message",
+    [
+        (0, 0, (), "graph must have at least one node"),
+        (2, 1, _tables([(1, 0)]), "port table count does not match node count"),
+        (2, 1, _tables([(-1, 0)], [(0, 0)]), "node 0 port 0 points at invalid node -1"),
+        (2, 1, _tables([(2, 0)], [(0, 0)]), "node 0 port 0 points at invalid node 2"),
+        (2, 1, _tables([(0, 0)], [(0, 0)]), "self-loop at node 0 (port 0)"),
+        (2, 1, _tables([(1, 0)], [(0, 1)]), _involution_broken(0, 0, 1, 0)),
+        (2, 1, _tables([(1, 1)], [(0, 0)]), _involution_broken(0, 0, 1, 1)),
+        (2, 1, _tables([(1, -1)], [(0, 0)]), _involution_broken(0, 0, 1, -1)),
+        (2, 2, _tables([(1, 0), (1, 1)], [(0, 0), (0, 1)]), "multi-edge at node 0"),
+        (2, 2, _tables([(1, 0)], [(0, 0)]), "degree sum 2 does not equal 2*m = 4"),
+        (4, 2, _tables([(1, 0)], [(0, 0)], [(3, 0)], [(2, 0)]), "graph is not connected"),
+        (3, 2, _tables([(1, 0), (1, 1)], [(0, 0), (0, 1)], [(5, 0)]), "multi-edge at node 0"),
+        (
+            3, 3, _tables([(1, 0), (2, 0)], [(0, 0), (0, 0)], [(0, 1)]),
+            _involution_broken(1, 1, 0, 0),
+        ),
+        (3, 9, _tables([(1, 0)], [(0, 0)], [(2, 0)]), "self-loop at node 2 (port 0)"),
+        (
+            4, 5, _tables([(1, 0)], [(0, 0)], [(3, 0)], [(2, 0)]),
+            "degree sum 4 does not equal 2*m = 10",
+        ),
+    ],
+    ids=[
+        "no-nodes",
+        "table-count",
+        "negative-neighbor",
+        "neighbor-past-n",
+        "self-loop",
+        "broken-involution",
+        "entry-port-past-degree",
+        "negative-entry-port",
+        "multi-edge",
+        "degree-sum",
+        "disconnected",
+        "node-order-wins",
+        "port-order-wins",
+        "entries-before-degree-sum",
+        "degree-sum-before-connectivity",
+    ],
+)
+def test_validate_names_the_first_broken_invariant(n, m, ports, message):
+    with pytest.raises(GraphError) as err:
+        PortLabeledGraph(n, m, ports).validate()
+    assert str(err.value) == message
 
 
 def test_relabel_preserves_port_structure():
@@ -324,3 +426,18 @@ def test_gnm_graphs_satisfy_invariants(n, extra, seed):
     g.validate()
     assert g.node_count == n
     assert g.edge_count == m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["line", "ring", "complete", "random_tree", "grid", "gnm"]),
+    n=st.integers(min_value=1, max_value=24),
+    seed=st.integers(min_value=0, max_value=10**6),
+    ports=st.sampled_from(["canonical", "random"]),
+)
+def test_text_round_trip_for_every_family_and_port_mode(family, n, seed, ports):
+    if family == "ring" and n < 3:
+        n += 3
+    m = min(2 * n, n * (n - 1) // 2) if family == "gnm" else None
+    g = generate(family, n, m, seed=seed, ports=ports)
+    assert graph_from_text(graph_to_text(g)).ports == g.ports
