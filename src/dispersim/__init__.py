@@ -11,11 +11,8 @@ from .agents import (
     memory_bits_independent,
 )
 from .algorithms import (
-    Action,
-    Dock,
     HelpRecord,
     LocalView,
-    Move,
     SimulationInvariantError,
     helping_step,
     independent_step,

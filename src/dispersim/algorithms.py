@@ -1,8 +1,9 @@
 """Pure step functions for the three dispersion algorithms.
 
 Every step has one signature, ``(state, view, mutex_winner) -> (state,
-action, effects)``: it consumes the robot state, the local node view and the
-node's mutex winner, and returns the successor state, an action and the help
+port, effects)``: it consumes the robot state, the local node view and the
+node's mutex winner, and returns the successor state, the port the robot
+leaves by (-1, the model's "no port" value, when it docks) and the help
 records to apply at serving docked robots (always empty for the independent
 family).  Steps never mutate anything: the engine owns all state
 application, which keeps runs replayable from a single mutation point.
@@ -17,8 +18,7 @@ identity is unreachable from here.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from typing import NamedTuple
 
 from .agents import BACKTRACK, EXPLORE, SETTLED, HelpingState, IndependentState
@@ -26,10 +26,6 @@ from .agents import BACKTRACK, EXPLORE, SETTLED, HelpingState, IndependentState
 __all__ = [
     "SimulationInvariantError",
     "LocalView",
-    "Move",
-    "Dock",
-    "Action",
-    "DOCK",
     "HelpRecord",
     "helping_step",
     "independent_step",
@@ -57,27 +53,12 @@ class LocalView(NamedTuple):
     entry_port_self: int = -1
 
 
-class Move(NamedTuple):
-    port: int
-
-
 # per-step values are built in C: each maker takes one tuple of all the
 # type's fields and skips the NamedTuple's Python __new__, so it checks no
-# arity; moves are shared, one per port
+# arity
 new_helping_state = partial(tuple.__new__, HelpingState)
 new_independent_state = partial(tuple.__new__, IndependentState)
 new_local_view = partial(tuple.__new__, LocalView)
-move_to = cache(Move)
-
-
-@dataclass(frozen=True, slots=True)
-class Dock:
-    pass
-
-
-Action = Move | Dock
-
-DOCK = Dock()
 
 
 class HelpRecord(NamedTuple):
@@ -104,7 +85,7 @@ def settled_service(
 
 def helping_step(
     state: HelpingState, view: LocalView, mutex_winner: int | None
-) -> tuple[HelpingState, Action, tuple[HelpRecord, ...]]:
+) -> tuple[HelpingState, int, tuple[HelpRecord, ...]]:
     """One loop-body iteration of the helping algorithm, in either engine.
 
     A settled robot never acts: its helper block is realized through its
@@ -136,7 +117,7 @@ def helping_step(
             if seen:
                 # revisited node: bounce straight back the way we came
                 new = new_helping_state((label, BACKTRACK, pe, pp, seen, rnd + 1))
-                return new, move_to(pe), ()
+                return new, pe, ()
             pp = pe
             effects = (HelpRecord(docked, label, pe),)
     elif mode is BACKTRACK:
@@ -147,7 +128,7 @@ def helping_step(
     elif mutex_winner is None:
         raise SimulationInvariantError(f"robot {label} at a free node without arbitration")
     elif mutex_winner == label:
-        return new_helping_state((label, SETTLED, pe, pp, seen, rnd + 1)), DOCK, ()
+        return new_helping_state((label, SETTLED, pe, pp, seen, rnd + 1)), -1, ()
     else:
         # loser: a first visit at the fresh winner, whose records are blank;
         # here pp == pe and seen is False already, so the winner records
@@ -156,12 +137,12 @@ def helping_step(
 
     pe = (pe + 1) % degree
     mode = BACKTRACK if pe == pp else EXPLORE
-    return new_helping_state((label, mode, pe, pp, seen, rnd + 1)), move_to(pe), effects
+    return new_helping_state((label, mode, pe, pp, seen, rnd + 1)), pe, effects
 
 
 def independent_step(
     state: IndependentState, view: LocalView, mutex_winner: int | None
-) -> tuple[IndependentState, Action, tuple[HelpRecord, ...]]:
+) -> tuple[IndependentState, int, tuple[HelpRecord, ...]]:
     """One loop-body iteration of the independent algorithm.
 
     The robot keeps its own visited bitset (bit j for docked robot j) and a
@@ -190,7 +171,7 @@ def independent_step(
         if docked is not None and visited >> docked & 1:
             # revisited node: bounce straight back the way we came
             new = new_independent_state((label, BACKTRACK, pe, rnd + 1, visited, stack))
-            return new, move_to(pe), ()
+            return new, pe, ()
         if docked is not None:
             marked = docked
         else:
@@ -200,7 +181,7 @@ def independent_step(
                 )
             if mutex_winner == label:
                 new = new_independent_state((label, SETTLED, pe, rnd + 1, visited, stack))
-                return new, DOCK, ()
+                return new, -1, ()
             marked = mutex_winner
         # first visit: mark the docked (or freshly docking) robot, remember
         # the entry port as this node's parent pointer, take the next port
@@ -212,4 +193,4 @@ def independent_step(
     if pe == stack[-1]:
         mode = BACKTRACK
         stack = stack[:-1]
-    return new_independent_state((label, mode, pe, rnd + 1, visited, stack)), move_to(pe), ()
+    return new_independent_state((label, mode, pe, rnd + 1, visited, stack)), pe, ()

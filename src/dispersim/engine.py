@@ -26,7 +26,6 @@ from .agents import (
 from .algorithms import (
     HelpRecord,
     LocalView,
-    Move,
     SimulationInvariantError,
     helping_step,
     independent_step,
@@ -303,7 +302,7 @@ class WorldState:
             self.records[lab - 1] = (bytearray(self.k + 1), array("i", [-1]) * (self.k + 1))
 
     def settle_in_absentia(self, lab: int, node: int, when: int, step) -> None:
-        """Dock a parked mutex winner during another robot's event: it runs
+        """Settle a parked mutex winner during another robot's event: it runs
         its own step as its own mutex winner, which refreshes its entry port
         and docks."""
         state, _, _ = step(self.states[lab - 1], self.local_view(lab), lab)
@@ -377,7 +376,7 @@ def trace_record_line(
     node: int,
     mode_before: Mode,
     mode_after: Mode,
-    action,
+    port: int,
     mutex: str,
     effects: Sequence[HelpRecord],
 ) -> str:
@@ -385,13 +384,12 @@ def trace_record_line(
     bytes json.dumps with compact separators would write, formatted directly.
 
     Keys in order: event, round (synchronous engine only), robot, node,
-    mode_before, mode_after, action, mutex (``mutex_json`` of the
-    arbitration, or "null" at a docked node), help.
+    mode_before, mode_after, action (a move through ``port``, or a dock
+    when ``port`` is -1), mutex (``mutex_json`` of the arbitration, or
+    "null" at a docked node), help.
     """
     head = f'{{"event":{event},' if rnd is None else f'{{"event":{event},"round":{rnd},'
-    act = '{"type":"dock"}'
-    if isinstance(action, Move):
-        act = f'{{"type":"move","port":{action.port}}}'
+    act = f'{{"type":"move","port":{port}}}' if port >= 0 else '{"type":"dock"}'
     help_ = ""
     if effects:
         help_ = ",".join(f"[{e.docked_label},{e.visitor_label},{e.entry_port}]" for e in effects)
@@ -411,10 +409,10 @@ def _coerce_placement(
 
 
 def _start(
-    graph: PortLabeledGraph, placement, algorithm: Algorithm | str, sync: bool
-) -> tuple[Algorithm, WorldState, Callable]:
-    """The algorithm, a fresh world and the step function of one run."""
-    algorithm = Algorithm(algorithm)
+    graph: PortLabeledGraph, placement, algorithm: Algorithm | str, mutex_policy, sync: bool
+) -> tuple[Algorithm, MutexPolicy, WorldState, Callable]:
+    """The algorithm, mutex policy, fresh world and step function of one run."""
+    algorithm, mutex_policy = Algorithm(algorithm), MutexPolicy(mutex_policy)
     if algorithm.is_sync != sync:
         engine = "synchronous" if algorithm.is_sync else "asynchronous"
         raise ValueError(f"{algorithm.value} requires the {engine} engine")
@@ -424,7 +422,7 @@ def _start(
         step = independent_step
     else:
         step = helping_sync_step if sync else helping_async_step
-    return algorithm, WorldState(graph, positions, helping), step
+    return algorithm, mutex_policy, WorldState(graph, positions, helping), step
 
 
 def _build_report(
@@ -475,7 +473,7 @@ def run_sync(
     graph: PortLabeledGraph,
     placement,
     algorithm: Algorithm | str = Algorithm.HELPING_SYNC,
-    mutex_policy: MutexPolicy = MutexPolicy.LOWEST_LABEL,
+    mutex_policy: MutexPolicy | str = MutexPolicy.LOWEST_LABEL,
     trace_sink: Callable[[str], None] | None = None,
 ) -> RunReport:
     """Synchronous engine: rounds 0..4m-2(n-1), one loop body per robot per
@@ -488,7 +486,7 @@ def run_sync(
     single-lane arrival ordering.  Stops early once every robot settled (the
     world is static afterwards).
     """
-    algorithm, world, step = _start(graph, placement, algorithm, True)
+    algorithm, mutex_policy, world, step = _start(graph, placement, algorithm, mutex_policy, True)
     bound = sync_round_bound(graph)
 
     event_no = 0
@@ -514,17 +512,17 @@ def run_sync(
                 if trace_sink is not None:
                     arbitrations[node] = mutex_json(contenders, winners[node])
             old = world.states[lab - 1]
-            state, action, effects = step(old, view, winners.get(node))
+            state, port, effects = step(old, view, winners.get(node))
             # no step reads another robot's state: apply it at once
             world.apply_state(lab, state)
-            if isinstance(action, Move):
-                moves.append((lab, action.port))
+            if port >= 0:
+                moves.append((lab, port))
             else:
                 docks.append((lab, node))
             help_records += effects
             if trace_sink is not None:
                 trace_sink(trace_record_line(
-                    event_no, rnd, lab, node, old.mode, state.mode, action,
+                    event_no, rnd, lab, node, old.mode, state.mode, port,
                     arbitrations.get(node, "null"), effects,
                 ))
                 event_no += 1
@@ -542,7 +540,7 @@ def run_async(
     placement,
     algorithm: Algorithm | str = Algorithm.INDEPENDENT_ASYNC,
     scheduler_policy: SchedulerPolicy = RoundRobin(),
-    mutex_policy: MutexPolicy = MutexPolicy.LOWEST_LABEL,
+    mutex_policy: MutexPolicy | str = MutexPolicy.LOWEST_LABEL,
     trace_sink: Callable[[str], None] | None = None,
 ) -> RunReport:
     """Asynchronous discrete-event engine.
@@ -555,7 +553,9 @@ def run_async(
     SAFETY_FACTOR * k * (4m - 2(n-1) + 1) is exceeded (which marks the run
     not dispersed: correct runs never reach it).
     """
-    algorithm, world, step = _start(graph, placement, algorithm, False)
+    algorithm, mutex_policy, world, step = _start(
+        graph, placement, algorithm, mutex_policy, False
+    )
     k = world.k
     cap = SAFETY_FACTOR * k * (sync_round_bound(graph) + 1)
     selector = _make_selector(scheduler_policy, k)
@@ -567,22 +567,22 @@ def run_async(
         view = world.local_view(lab)
         mutex = None if view.docked is not None else world.arbitrate(node, mutex_policy)
         before = world.states[lab - 1].mode
-        state, action, effects = step(world.states[lab - 1], view, mutex[1] if mutex else None)
+        state, port, effects = step(world.states[lab - 1], view, mutex[1] if mutex else None)
 
         if mutex is not None and mutex[1] != lab:
             world.settle_in_absentia(mutex[1], node, event, step)
         world.apply_state(lab, state)
         for record in effects:
             world.apply_help_record(record)
-        if isinstance(action, Move):
-            dest, entry = graph.traverse(node, action.port)
+        if port >= 0:
+            dest, entry = graph.traverse(node, port)
             world.move_robot(lab, dest, entry)
         else:
             world.dock(lab, node, event)
 
         if trace_sink is not None:
             trace_sink(trace_record_line(
-                event, None, lab, node, before, state.mode, action,
+                event, None, lab, node, before, state.mode, port,
                 "null" if mutex is None else mutex_json(*mutex), effects,
             ))
         event += 1
@@ -595,7 +595,7 @@ def run(
     placement,
     algorithm: Algorithm | str,
     scheduler_policy: SchedulerPolicy | None = None,
-    mutex_policy: MutexPolicy = MutexPolicy.LOWEST_LABEL,
+    mutex_policy: MutexPolicy | str = MutexPolicy.LOWEST_LABEL,
     trace_sink: Callable[[str], None] | None = None,
 ) -> RunReport:
     """Dispatch to the engine the algorithm belongs to."""

@@ -10,7 +10,7 @@ import random
 from typing import Callable
 
 from dispersim.agents import HelpingState, IndependentState
-from dispersim.algorithms import LocalView, Move, helping_step, independent_step
+from dispersim.algorithms import LocalView, helping_step, independent_step
 from dispersim.graph import InitialPlacement, PortLabeledGraph, build_graph, generate
 
 STEP_FUNCTIONS = {"helping": helping_step, "independent": independent_step}
@@ -90,11 +90,11 @@ def traversal_without_docking(
             next_phantom += 1
             view = LocalView(degree, None, pending)
 
-        state, action, effects = step(state, view, winner)
+        state, port, effects = step(state, view, winner)
         for record in effects:
             slots[phantom_node[record.docked_label]] = (1, record.entry_port)
-        assert isinstance(action, Move), f"robot emitted {action!r} while docking is disabled"
-        dest, entry = graph.traverse(pos, action.port)
+        assert port >= 0, "robot docked while docking is disabled"
+        dest, entry = graph.traverse(pos, port)
         seq.append((pos, dest))
         pos, pending = dest, entry
     return seq

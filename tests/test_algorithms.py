@@ -6,11 +6,8 @@ import pytest
 
 from dispersim.agents import HelpingState, IndependentState, Mode
 from dispersim.algorithms import (
-    DOCK,
-    Dock,
     HelpRecord,
     LocalView,
-    Move,
     SimulationInvariantError,
     helping_step,
     independent_step,
@@ -31,16 +28,16 @@ def view(degree, docked=None, entry=-1, slots=(0, -1)):
 
 
 def test_lone_helping_robot_docks_immediately():
-    new, action, effects = helping_step(HelpingState(1), view(2), mutex_winner=1)
-    assert isinstance(action, Dock)
+    new, port, effects = helping_step(HelpingState(1), view(2), mutex_winner=1)
+    assert port == -1
     assert new.mode is Mode.SETTLED
     assert effects == ()
 
 
 def test_lone_independent_robot_docks_immediately():
     state = IndependentState(1)
-    new, action, _ = independent_step(state, view(3), mutex_winner=1)
-    assert isinstance(action, Dock)
+    new, port, _ = independent_step(state, view(3), mutex_winner=1)
+    assert port == -1
     assert new.mode is Mode.SETTLED
     assert new.stack == ()
 
@@ -50,18 +47,18 @@ def test_lone_independent_robot_docks_immediately():
 
 def test_seen_node_triggers_backtrack_through_entry_port():
     state = HelpingState(2)._replace(round=4)
-    new, action, effects = helping_step(state, view(3, 1, entry=2, slots=(1, 0)), None)
+    new, port, effects = helping_step(state, view(3, 1, entry=2, slots=(1, 0)), None)
     assert new.mode is Mode.BACKTRACK
-    assert action == Move(2)  # back the way it came
+    assert port == 2  # back the way it came
     assert new.parent_ptr == 0  # first-entry port received from the dock
     assert effects == ()
 
 
 def test_first_visit_records_entry_and_advances():
     state = HelpingState(2)._replace(round=4)
-    new, action, effects = helping_step(state, view(3, 1, entry=1), None)
+    new, port, effects = helping_step(state, view(3, 1, entry=1), None)
     assert new.mode is Mode.EXPLORE
-    assert action == Move(2)  # (1 + 1) mod 3
+    assert port == 2  # (1 + 1) mod 3
     assert new.parent_ptr == 1
     assert effects == (HelpRecord(1, 2, 1),)
 
@@ -69,9 +66,9 @@ def test_first_visit_records_entry_and_advances():
 def test_first_visit_wraps_to_parent_and_backtracks():
     # advancing from the entry port on a degree-1 node returns to it
     state = HelpingState(2)._replace(round=4)
-    new, action, effects = helping_step(state, view(1, 1, entry=0), None)
+    new, port, effects = helping_step(state, view(1, 1, entry=0), None)
     assert new.mode is Mode.BACKTRACK
-    assert action == Move(0)
+    assert port == 0
     assert effects == (HelpRecord(1, 2, 0),)
 
 
@@ -80,9 +77,9 @@ def test_first_visit_wraps_to_parent_and_backtracks():
 
 def test_loser_records_first_visit_at_fresh_winner():
     state = HelpingState(3)._replace(round=2)
-    new, action, effects = helping_step(state, view(2, entry=1), mutex_winner=2)
+    new, port, effects = helping_step(state, view(2, entry=1), mutex_winner=2)
     assert effects == (HelpRecord(2, 3, 1),)
-    assert action == Move(0)  # (1 + 1) mod 2
+    assert port == 0  # (1 + 1) mod 2
     assert new.mode is Mode.EXPLORE
     assert new.parent_ptr == 1
     assert new.seen is False
@@ -90,10 +87,10 @@ def test_loser_records_first_visit_at_fresh_winner():
 
 def test_independent_loser_marks_winner_and_pushes():
     state = IndependentState(3)._replace(round=2)
-    new, action, _ = independent_step(state, view(2, entry=1), mutex_winner=2)
+    new, port, _ = independent_step(state, view(2, entry=1), mutex_winner=2)
     assert new.visited == 1 << 2
     assert new.stack == (1,)
-    assert action == Move(0)
+    assert port == 0
     assert new.mode is Mode.EXPLORE
 
 
@@ -102,33 +99,33 @@ def test_independent_loser_marks_winner_and_pushes():
 
 def test_independent_first_visit_pushes_and_advances():
     state = IndependentState(2)._replace(round=3)
-    new, action, _ = independent_step(
+    new, port, _ = independent_step(
         state, view(2, 1, entry=0), mutex_winner=None
     )
     assert new.visited == 1 << 1
     assert new.stack == (0,)
-    assert action == Move(1)
+    assert port == 1
     assert new.mode is Mode.EXPLORE
 
 
 def test_independent_leaf_pushes_then_pops():
     state = IndependentState(2)._replace(round=3)
-    new, action, _ = independent_step(
+    new, port, _ = independent_step(
         state, view(1, 1, entry=0), mutex_winner=None
     )
     assert new.stack == ()  # pushed 0, advanced back onto it, popped
     assert new.mode is Mode.BACKTRACK
-    assert action == Move(0)
+    assert port == 0
 
 
 def test_independent_revisit_bounces_back():
     state = IndependentState(2)._replace(round=3)
     state = state._replace(visited=1 << 1)
-    new, action, _ = independent_step(
+    new, port, _ = independent_step(
         state, view(3, 1, entry=2), mutex_winner=None
     )
     assert new.mode is Mode.BACKTRACK
-    assert action == Move(2)
+    assert port == 2
     assert new.stack == ()
 
 
@@ -136,11 +133,11 @@ def test_independent_backtrack_resumes_exploring_when_port_differs():
     state = IndependentState(2)._replace(
         round=3, mode=Mode.BACKTRACK, stack=(-1,)
     )
-    new, action, _ = independent_step(
+    new, port, _ = independent_step(
         state, view(2, 1, entry=0), mutex_winner=None
     )
     assert new.mode is Mode.EXPLORE  # advanced port 1 differs from stack top -1
-    assert action == Move(1)
+    assert port == 1
     assert new.stack == (-1,)
 
 
@@ -148,11 +145,11 @@ def test_independent_backtrack_pops_on_parent_port():
     state = IndependentState(2)._replace(
         round=3, mode=Mode.BACKTRACK, stack=(-1, 1)
     )
-    new, action, _ = independent_step(
+    new, port, _ = independent_step(
         state, view(2, 1, entry=0), mutex_winner=None
     )
     assert new.mode is Mode.BACKTRACK
-    assert action == Move(1)
+    assert port == 1
     assert new.stack == (-1,)
 
 
@@ -220,7 +217,6 @@ def test_free_node_without_arbitration_is_hard_failure():
         (HelpingState(1), "mode"),
         (IndependentState(1), "stack"),
         (LocalView(2, None, -1), "degree"),
-        (Move(0), "port"),
         (HelpRecord(1, 2, 0), "entry_port"),
     ],
     ids=lambda v: v if isinstance(v, str) else type(v).__name__,
@@ -292,13 +288,14 @@ STEP_BRANCHES = {
     "step,state,v,winner,mode_after", STEP_BRANCHES.values(), ids=list(STEP_BRANCHES)
 )
 def test_step_values_keep_their_type_and_arity(step, state, v, winner, mode_after):
-    new, action, effects = step(state, v, winner)
+    new, port, effects = step(state, v, winner)
     assert new.mode is mode_after  # the case reaches the branch it names
     assert_exact(new, type(state))
+    assert type(port) is int
     if mode_after is SETTLED:
-        assert action is DOCK
+        assert port == -1
     else:
-        assert_exact(action, Move)
+        assert 0 <= port < v.degree
     for record in effects:
         assert_exact(record, HelpRecord)
 
@@ -319,13 +316,16 @@ def test_independent_step_ignores_the_helping_slots(state, v, winner):
 # --- port arithmetic -------------------------------------------------------
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 5])
-@pytest.mark.parametrize("entry", [-1, 0, 1, 2])
-def test_moves_stay_in_port_range(degree, entry):
-    if entry >= degree:
-        pytest.skip("entry port outside degree")
-    state = HelpingState(2)._replace(round=0 if entry == -1 else 3)
-    new, action, _ = helping_step(state, view(degree, entry=entry), mutex_winner=9)
-    assert isinstance(action, Move)
-    assert 0 <= action.port < degree
-    assert action.port == (entry + 1) % degree
+@pytest.mark.parametrize(
+    "step,state",
+    [(helping_step, HelpingState(2)), (independent_step, IndependentState(2))],
+    ids=["helping", "independent"],
+)
+@pytest.mark.parametrize(
+    "degree,entry", [(d, e) for d in (1, 2, 3, 5) for e in (-1, 0, 1, 2) if e < d]
+)
+def test_moves_stay_in_port_range(step, state, degree, entry):
+    state = state._replace(round=0 if entry == -1 else 3)
+    _, port, _ = step(state, view(degree, entry=entry), mutex_winner=9)
+    assert 0 <= port < degree
+    assert port == (entry + 1) % degree

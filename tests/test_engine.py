@@ -160,6 +160,30 @@ def test_sync_rejects_async_algorithm():
         run(TRIANGLE, [0], Algorithm.HELPING_SYNC, scheduler_policy=RoundRobin())
 
 
+@pytest.mark.parametrize(
+    "alg,scheduler",
+    [(Algorithm.HELPING_SYNC, None), (Algorithm.INDEPENDENT_ASYNC, SeededRandom(0))],
+    ids=["helping-sync", "independent-async"],
+)
+def test_mutex_policy_names_run_as_their_policy(alg, scheduler):
+    # on this instance the two policies give different reports, so a name
+    # read as the wrong policy shows
+    graph = generate("grid", 36, seed=0, ports="random")
+    rng = random.Random(0)
+    placement = [rng.randrange(36) for _ in range(30)]
+    reports = {
+        policy: run(graph, placement, alg, scheduler, mutex_policy=policy)
+        for policy in MutexPolicy
+    }
+    assert reports[MutexPolicy.LOWEST_LABEL] != reports[MutexPolicy.EARLIEST_ARRIVAL]
+    for policy, report in reports.items():
+        assert run(graph, placement, alg, scheduler, mutex_policy=policy.value) == report
+    events = []
+    with pytest.raises(ValueError):
+        run(graph, placement, alg, scheduler, mutex_policy="nonsense", trace_sink=events.append)
+    assert events == []
+
+
 # --- asynchronous engine ----------------------------------------------------
 
 
