@@ -9,8 +9,8 @@ family).  Steps never mutate anything: the engine owns all state
 application, which keeps runs replayable from a single mutation point.
 
 A step sees only the local view: node degree, the docked robot's label, the
-viewer's entry port and, in the helping family, the viewer's own slots in the
-docked robot's visitor records.  Co-located undocked robots meet only through
+viewer's entry port and, in the helping family, the viewer's own slot in the
+docked robot's visitor record.  Co-located undocked robots meet only through
 the engine's mutex arbitration, whose winner the step receives.  Node
 identity is unreachable from here.
 """
@@ -41,16 +41,15 @@ class LocalView(NamedTuple):
     """What a robot sees at its node.
 
     ``docked`` is the docked robot's label, None at a free node;
-    ``visited_self`` (0/1) and ``entry_port_self`` are the viewer's own slots
-    in the docked robot's visitor records (helping family; independent
+    ``record_self`` is the viewer's own slot in the docked robot's visitor
+    record, in ``settled_service``'s code (helping family; independent
     visitors only use the label).
     """
 
     degree: int
     docked: int | None
     entry_port: int
-    visited_self: int = 0
-    entry_port_self: int = -1
+    record_self: int = 0
 
 
 # per-step values are built in C: each maker takes one tuple of all the
@@ -62,25 +61,22 @@ new_local_view = partial(tuple.__new__, LocalView)
 
 
 class HelpRecord(NamedTuple):
-    """First-visit record to apply at a docked robot: set
-    visited[visitor] = 1 and entry_port[visitor] = entry_port."""
+    """First-visit record to apply at a docked robot: ``settled_service``
+    stores ``entry_port`` in its slot for ``visitor_label``."""
 
     docked_label: int
     visitor_label: int
     entry_port: int
 
 
-def settled_service(
-    visited: bytearray, entry_port: array, visitor_label: int, visitor_port: int
-) -> None:
+def settled_service(record: array, visitor_label: int, visitor_port: int) -> None:
     """One docked-robot service exchange with a visitor j, in place on the
-    docked robot's visitor records: a first visit stores visited[j] = 1
-    and entry_port[j] = visitor_port, a repeat visit changes nothing.  The
-    visitor reads its slots through its ``LocalView``, before the
-    exchange."""
-    if not visited[visitor_label]:
-        visited[visitor_label] = 1
-        entry_port[visitor_label] = visitor_port
+    docked robot's visitor record: slot j is 0 until j's first visit, which
+    stores visitor_port + 2 (1 for a visitor that never moved, port -1); a
+    repeat visit changes nothing.  The visitor reads its slot through its
+    ``LocalView``, before the exchange."""
+    if not record[visitor_label]:
+        record[visitor_label] = visitor_port + 2
 
 
 def helping_step(
@@ -101,7 +97,7 @@ def helping_step(
     label, mode, pe, pp, seen, rnd = state
     if mode is SETTLED:
         raise SimulationInvariantError(f"settled robot {label} has no active iterations")
-    degree, docked, entry_port, visited_self, entry_port_self = view
+    degree, docked, entry_port, record_self = view
 
     # successors are built positionally: (label, mode, port_entered,
     # parent_ptr, seen, round)
@@ -111,8 +107,8 @@ def helping_step(
     effects: tuple[HelpRecord, ...] = ()
 
     if docked is not None:
-        # node claimed in an earlier round: read own slots at the dock
-        seen, pp = visited_self, entry_port_self
+        # node claimed in an earlier round: decode own slot at the dock
+        seen, pp = record_self > 0, record_self - 2
         if mode is EXPLORE:
             if seen:
                 # revisited node: bounce straight back the way we came
@@ -153,7 +149,7 @@ def independent_step(
     label, mode, pe, rnd, visited, stack = state
     if mode is SETTLED:
         raise SimulationInvariantError(f"settled robot {label} has no active iterations")
-    degree, docked, entry_port, _, _ = view
+    degree, docked, entry_port, _ = view
 
     # successors are built positionally: (label, mode, port_entered, round,
     # visited, stack)

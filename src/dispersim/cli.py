@@ -130,7 +130,7 @@ def _bounds_ok(report: RunReport, graph: PortLabeledGraph, k: int) -> bool:
     return (
         report.dispersed
         and check_time_bound(report, graph)
-        and check_memory_bound(report, k, graph.max_degree, graph.edge_count)
+        and check_memory_bound(report, k, report.max_degree, report.edge_count)
         and (depth is None or depth <= k - 1)
     )
 

@@ -239,9 +239,12 @@ class WorldState:
         state = HelpingState if helping else IndependentState
         self.states: list = [state(lab) for lab in range(1, k + 1)]
         self.docked: dict[int, int] = {}
-        # a docked helping robot's visitor records, k+1 slots each indexed by
-        # visitor label: 0/1 visited bytes and entry ports; None before docking
-        self.records: list[tuple[bytearray, array] | None] = [None] * k
+        # a docked helping robot's visitor record, None before docking: k+1
+        # zeroed slots indexed by visitor label, in settled_service's code;
+        # codes reach max_degree + 1, so a slot is one byte up to degree 254
+        self.max_degree = graph.max_degree
+        self._slot_type = "B" if self.max_degree < 255 else "i"
+        self.records: list[array | None] = [None] * k
         # ascending labels; robots only ever leave it
         self.unsettled: list[int] = list(range(1, k + 1))
         self.pending_entry: list[int] = [-1] * k
@@ -259,9 +262,8 @@ class WorldState:
         docked = self.docked.get(node)
         degree, entry = len(self.graph.ports[node]), self.pending_entry[lab - 1]
         if docked is None or not self.helping:
-            return new_local_view((degree, docked, entry, 0, -1))
-        visited, entry_port = self.records[docked - 1]
-        return new_local_view((degree, docked, entry, visited[lab], entry_port[lab]))
+            return new_local_view((degree, docked, entry, 0))
+        return new_local_view((degree, docked, entry, self.records[docked - 1][lab]))
 
     def contenders_at(self, node: int) -> list[Contender]:
         return [
@@ -299,7 +301,7 @@ class WorldState:
         self.settle_time[lab - 1] = when
         self.unsettled.remove(lab)
         if self.helping:
-            self.records[lab - 1] = (bytearray(self.k + 1), array("i", [-1]) * (self.k + 1))
+            self.records[lab - 1] = array(self._slot_type, [0]) * (self.k + 1)
 
     def settle_in_absentia(self, lab: int, node: int, when: int, step) -> None:
         """Settle a parked mutex winner during another robot's event: it runs
@@ -310,13 +312,13 @@ class WorldState:
         self.dock(lab, node, when)
 
     def apply_help_record(self, record: HelpRecord) -> None:
-        records = self.records[record.docked_label - 1]
-        if records is None:
+        slots = self.records[record.docked_label - 1]
+        if slots is None:
             raise SimulationInvariantError(
-                f"robot {record.docked_label} keeps no visitor records and "
+                f"robot {record.docked_label} keeps no visitor record and "
                 "cannot serve visitors"
             )
-        settled_service(*records, record.visitor_label, record.entry_port)
+        settled_service(slots, record.visitor_label, record.entry_port)
 
     def move_robot(self, lab: int, dest: int, entry: int) -> None:
         """Land robot ``lab`` at ``dest`` through port ``entry``, as the
@@ -432,7 +434,7 @@ def _build_report(
     events_elapsed: int | None,
     trace_sink: Callable[[str], None] | None,
 ) -> RunReport:
-    k, edges, delta = world.k, world.graph.edge_count, world.graph.max_degree
+    k, edges, delta = world.k, world.graph.edge_count, world.max_degree
     if world.helping:
         # settling is absorbing: the final mode is the peak-memory mode
         peaks = [memory_bits_helping(s.mode is SETTLED, k, delta, edges) for s in world.states]

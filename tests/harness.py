@@ -10,7 +10,7 @@ import random
 from typing import Callable
 
 from dispersim.agents import HelpingState, IndependentState
-from dispersim.algorithms import LocalView, helping_step, independent_step
+from dispersim.algorithms import LocalView, helping_step, independent_step, settled_service
 from dispersim.graph import InitialPlacement, PortLabeledGraph, build_graph, generate
 
 STEP_FUNCTIONS = {"helping": helping_step, "independent": independent_step}
@@ -69,7 +69,8 @@ def traversal_without_docking(
 
     phantom_at: dict[int, int] = {}
     phantom_node: dict[int, int] = {}
-    slots: dict[int, tuple[int, int]] = {}
+    # node -> the phantom's visitor record, slot 1 being the robot's own
+    records: dict[int, list[int]] = {}
     next_phantom = 2
     target = 4 * graph.edge_count - 2 * graph.node_count + 2
     pos = start
@@ -80,19 +81,19 @@ def traversal_without_docking(
         degree = graph.degree(pos)
         winner = None
         if pos in phantom_at:
-            # independent robots emit no help records: their slots stay blank
-            view = LocalView(degree, phantom_at[pos], pending, *slots[pos])
+            # independent robots emit no help records: their slot stays blank
+            view = LocalView(degree, phantom_at[pos], pending, records[pos][1])
         else:
             phantom_at[pos] = next_phantom
             phantom_node[next_phantom] = pos
-            slots[pos] = (0, -1)
+            records[pos] = [0, 0]
             winner = next_phantom
             next_phantom += 1
             view = LocalView(degree, None, pending)
 
         state, port, effects = step(state, view, winner)
         for record in effects:
-            slots[phantom_node[record.docked_label]] = (1, record.entry_port)
+            settled_service(records[phantom_node[record.docked_label]], 1, record.entry_port)
         assert port >= 0, "robot docked while docking is disabled"
         dest, entry = graph.traverse(pos, port)
         seq.append((pos, dest))

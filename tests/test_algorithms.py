@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from array import array
 from copy import deepcopy
 
 import pytest
@@ -17,11 +18,12 @@ from dispersim.algorithms import (
 from harness import assert_exact
 
 
-def view(degree, docked=None, entry=-1, slots=(0, -1)):
+def view(degree, docked=None, entry=-1, record=0):
     """The view at a node of ``degree``: the docked robot's label (None at a
-    free node), the entry port, and the viewer's own (visited, entry port)
-    slots in the docked robot's records."""
-    return LocalView(degree, docked, entry, *slots)
+    free node), the entry port, and the viewer's own slot in the docked
+    robot's visitor record (0 before its first visit there, else its first
+    entry port + 2)."""
+    return LocalView(degree, docked, entry, record)
 
 
 # --- docking alone -------------------------------------------------------
@@ -47,7 +49,7 @@ def test_lone_independent_robot_docks_immediately():
 
 def test_seen_node_triggers_backtrack_through_entry_port():
     state = HelpingState(2)._replace(round=4)
-    new, port, effects = helping_step(state, view(3, 1, entry=2, slots=(1, 0)), None)
+    new, port, effects = helping_step(state, view(3, 1, entry=2, record=2), None)
     assert new.mode is Mode.BACKTRACK
     assert port == 2  # back the way it came
     assert new.parent_ptr == 0  # first-entry port received from the dock
@@ -157,19 +159,23 @@ def test_independent_backtrack_pops_on_parent_port():
 
 
 def test_settled_service_first_and_repeat_visits():
-    visited, entry_port = [False] * 5, [-1] * 5
-    settled_service(visited, entry_port, 3, 2)
-    after = ([False, False, False, True, False], [-1, -1, -1, 2, -1])
-    assert (visited, entry_port) == after
+    record = array("B", [0]) * 5
+    settled_service(record, 3, 2)
+    after = [0, 0, 0, 4, 0]
+    assert list(record) == after
     # a repeat visit keeps the first entry port
-    settled_service(visited, entry_port, 3, 0)
-    assert (visited, entry_port) == after
+    settled_service(record, 3, 0)
+    assert list(record) == after
 
 
 def test_settled_service_records_sentinel_for_unmoved_visitor():
-    visited, entry_port = [False] * 5, [-1] * 5
-    settled_service(visited, entry_port, 2, -1)
-    assert (visited[2], entry_port[2]) == (True, -1)
+    record = array("B", [0]) * 5
+    settled_service(record, 2, -1)
+    assert list(record) == [0, 0, 1, 0, 0]
+    # the helping step reads the slot back as seen, with no parent port
+    state = HelpingState(2)._replace(round=4)
+    new, port, _ = helping_step(state, view(3, 1, entry=2, record=record[2]), None)
+    assert (new.mode, new.seen, new.parent_ptr, port) == (Mode.BACKTRACK, True, -1, 2)
 
 
 # --- hard failures and absorbing behaviour --------------------------------
@@ -245,7 +251,7 @@ def test_steps_leave_their_inputs_unchanged(state, step):
 
 
 EXPLORE, BACKTRACK, SETTLED = Mode.EXPLORE, Mode.BACKTRACK, Mode.SETTLED
-SEEN = (1, 0)  # the viewer's slots once docked robot 1 has recorded it
+SEEN = 2  # the viewer's slot once docked robot 1 has recorded it entering by port 0
 
 # id -> (step, state, view, mutex winner, mode after); together the cases
 # take every branch that returns from either step
@@ -308,8 +314,8 @@ def test_step_values_keep_their_type_and_arity(step, state, v, winner, mode_afte
 def test_independent_step_ignores_the_helping_slots(state, v, winner):
     # the families differ only where the paper says: an independent visitor
     # reads the docked robot's label and nothing of its visitor records
-    blank = independent_step(state, v._replace(visited_self=0, entry_port_self=-1), winner)
-    filled = independent_step(state, v._replace(visited_self=1, entry_port_self=3), winner)
+    blank = independent_step(state, v._replace(record_self=0), winner)
+    filled = independent_step(state, v._replace(record_self=5), winner)
     assert filled == blank
 
 

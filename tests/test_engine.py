@@ -443,8 +443,8 @@ def test_both_engines_bind_the_one_helping_step():
 
 
 def slots(view):
-    """The docked robot's label and the viewer's own slots in its records."""
-    return view.docked, view.visited_self, view.entry_port_self
+    """The docked robot's label and the viewer's own slot in its record."""
+    return view.docked, view.record_self
 
 
 @pytest.mark.parametrize("helping", [True, False])
@@ -452,24 +452,26 @@ def test_visitor_records_exist_exactly_from_dock_in_helping_family(helping):
     world = WorldState(TRIANGLE, [0, 0, 0], helping=helping)
     assert world.records == [None] * 3
     world.dock(2, 0, 0)
-    blank = ([0] * 4, [-1] * 4)
-    contents = [None if r is None else tuple(map(list, r)) for r in world.records]
-    assert contents == [None, blank if helping else None, None]
-    assert slots(world.local_view(1)) == (2, 0, -1)
+    contents = [None if r is None else list(r) for r in world.records]
+    assert contents == [None, [0] * 4 if helping else None, None]
+    if helping:
+        # a triangle's slot codes reach 3 at most: one byte per slot
+        assert world.records[1].typecode == "B"
+    assert slots(world.local_view(1)) == (2, 0)
 
 
 def test_help_records_serve_first_visits_only():
     world = WorldState(TRIANGLE, [0, 0, 0], helping=True)
     world.dock(1, 0, 0)
     world.apply_help_record(HelpRecord(1, 3, 2))
-    assert slots(world.local_view(3)) == (1, 1, 2)
+    assert slots(world.local_view(3)) == (1, 4)
     # a repeat visit keeps the first entry port
     world.apply_help_record(HelpRecord(1, 3, 0))
-    assert slots(world.local_view(3)) == (1, 1, 2)
-    # a visitor recorded before it ever moved keeps the -1 sentinel
+    assert slots(world.local_view(3)) == (1, 4)
+    # a visitor recorded before it ever moved is stored as port -1
     world.apply_help_record(HelpRecord(1, 2, -1))
-    assert slots(world.local_view(2)) == (1, 1, -1)
-    assert tuple(map(list, world.records[0])) == ([0, 0, 1, 1], [-1, -1, -1, 2])
+    assert slots(world.local_view(2)) == (1, 1)
+    assert list(world.records[0]) == [0, 0, 1, 4]
 
 
 @pytest.mark.parametrize("helping", [True, False])
@@ -481,10 +483,40 @@ def test_local_views_keep_their_type_and_arity(helping):
     free, fresh, seen = (world.local_view(lab) for lab in (4, 3, 2))
     for v in (free, fresh, seen):
         assert_exact(v, LocalView)
-    assert slots(free) == (None, 0, -1)
-    assert slots(fresh) == (1, 0, -1)
-    # an independent visitor's slots stay blank: its docked robot keeps no records
-    assert slots(seen) == ((1, 1, 1) if helping else (1, 0, -1))
+    assert slots(free) == (None, 0)
+    assert slots(fresh) == (1, 0)
+    # an independent visitor's slot stays blank: its docked robot keeps no record
+    assert slots(seen) == ((1, 3) if helping else (1, 0))
+
+
+# the smallest star whose slot codes outgrow a byte: the center reaches leaf
+# 255 through port 254, so a robot entering the center from there is
+# recorded as code 256
+WIDE_STAR = build_graph([(0, i) for i in range(1, 256)])
+
+
+def test_visitor_records_widen_past_one_byte_on_high_degree_graphs():
+    world = WorldState(WIDE_STAR, [0, 0, 0], helping=True)
+    world.dock(1, 0, 0)
+    world.apply_help_record(HelpRecord(1, 2, 254))
+    assert world.records[0].typecode == "i"
+    assert slots(world.local_view(2)) == (1, 256)
+    assert slots(world.local_view(3)) == (1, 0)
+
+
+@pytest.mark.parametrize("alg", [Algorithm.HELPING_SYNC, Algorithm.HELPING_ASYNC])
+def test_helping_runs_disperse_and_replay_on_high_degree_graphs(tmp_path, alg):
+    placement = InitialPlacement((255,) * 4)
+    scheduler = None if alg.is_sync else RoundRobin()
+    path = tmp_path / "star.jsonl"
+    with engine.JsonlTraceWriter(path) as sink:
+        sink(cli.trace_header(0, 0, alg, WIDE_STAR, placement, MutexPolicy.LOWEST_LABEL, scheduler))
+        report = run(WIDE_STAR, placement, alg, scheduler, trace_sink=sink)
+    assert report.dispersed
+    # the center's docked robot served visitors that entered through port 254
+    events = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert any(entry == 254 for e in events for _, _, entry in e["help"])
+    assert cli.replay(path) == 0
 
 
 @pytest.mark.parametrize(
