@@ -13,6 +13,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 from .agents import (
@@ -478,62 +479,109 @@ def run_sync(
     mutex_policy: MutexPolicy | str = MutexPolicy.LOWEST_LABEL,
     trace_sink: Callable[[str], None] | None = None,
 ) -> RunReport:
-    """Synchronous engine: rounds 0..4m-2(n-1), one loop body per robot per
-    round, computed from the pre-round snapshot.
+    """Synchronous engine: rounds 0..4m-2(n-1), each computed from the
+    pre-round snapshot, one step per cohort.
 
-    Within a round: every unsettled robot's step is computed against the
-    round-start world, each free node's mutex arbitrated at its first robot,
-    and its successor state applied and its event traced in that walk; then
-    docks are applied, then help records, then all moves land with
-    single-lane arrival ordering.  Stops early once every robot settled (the
-    world is static afterwards).
+    A cohort is the robots that started at one node.  They share their
+    history apart from the label, so each round they see the same view and
+    take the same step, and only docking takes one out: the lowest label,
+    which leads and whose step stands for the cohort.  When the lead docks,
+    the next label steps once more, as a mutex loser, and leads the rest.
+    Every robot at a free node landed there in the previous round (or
+    started there), numbered in (entry port, label) order, so each free
+    node is arbitrated among the leads parked there.  A lead's help record
+    is applied and its slot code copied to the other members, whose slots
+    always equal it.  A traced run writes one line per robot in label order,
+    expanded from its cohort's step: the bytes a per-robot walk writes.
+    Docks, then help records, then the leads' moves (single-lane) apply at
+    the end of the round.  Stops early once every robot settled.
     """
     algorithm, mutex_policy, world, step = _start(graph, placement, algorithm, mutex_policy, True)
-    bound = sync_round_bound(graph)
+    positions, states, peak_stack = world.positions, world.states, world.peak_stack
+    by_start: dict[int, list[int]] = {}
+    for lab, node in enumerate(positions, 1):
+        by_start.setdefault(node, []).append(lab)
+    # unsettled labels ascending, lead first; the others keep their start
+    # state and position until they lead
+    cohorts = list(by_start.values())
+    cohort_of = [by_start[node] for node in positions]
 
-    event_no = 0
-    rounds_elapsed = 0
-    for rnd in range(bound + 1):
+    event_no = rounds_elapsed = 0
+    for rnd in range(sync_round_bound(graph) + 1):
         if not world.unsettled:
             break
         rounds_elapsed = rnd
-
-        # node -> mutex winner, and the "mutex" value of its trace events;
-        # docks, help records and moves wait for the end of the walk, so
-        # every view and arbitration sees the round-start world
-        winners: dict[int, int] = {}
-        arbitrations: dict[int, str] = {}
-        docks: list[tuple[int, int]] = []
-        help_records: list[HelpRecord] = []
-        moves: list[tuple[int, int]] = []
-        for lab in world.unsettled:
-            node = world.positions[lab - 1]
-            view = world.local_view(lab)
-            if view.docked is None and node not in winners:
-                contenders, winners[node] = world.arbitrate(node, mutex_policy)
-                if trace_sink is not None:
-                    arbitrations[node] = mutex_json(contenders, winners[node])
-            old = world.states[lab - 1]
-            state, port, effects = step(old, view, winners.get(node))
-            # no step reads another robot's state: apply it at once
-            world.apply_state(lab, state)
-            if port >= 0:
-                moves.append((lab, port))
-            else:
-                docks.append((lab, node))
-            help_records += effects
+        parked: dict[int, list[list[int]]] = {}
+        for c in cohorts:
+            node = positions[c[0] - 1]
+            if node not in world.docked:
+                parked.setdefault(node, []).append(c)
+        winners, arbitrations = {}, {}
+        for node, here in parked.items():
+            winners[node] = arbitrate_mutex([
+                Contender(c[0], world.pending_entry[c[0] - 1], world.arrival_index[c[0] - 1])
+                for c in here
+            ], mutex_policy)
+            if len(here) > 1 or len(here[0]) > 1:
+                world.mutex_contentions += 1
             if trace_sink is not None:
+                arbitrations[node] = mutex_json(sorted(chain(*here)), winners[node])
+
+        # round-start lead -> (node, mode before, the lead if it docks, and
+        # the others' mode after, port, effects and "mutex" value)
+        docks, help_records, moves, stepped = [], [], [], {}
+        for c in cohorts:
+            lead = c[0]
+            node, old = positions[lead - 1], states[lead - 1]
+            view = world.local_view(lead)
+            state, port, effects = step(old, view, winners.get(node))
+            world.apply_state(lead, state)
+            docker = lead if port < 0 else 0
+            if docker:
+                docks.append((c, node))
+                if len(c) > 1:
+                    nxt = c[1]
+                    positions[nxt - 1], peak_stack[nxt - 1] = node, peak_stack[lead - 1]
+                    state, port, effects = step(old._replace(label=nxt), view, winners[node])
+                    world.apply_state(nxt, state)
+            if port >= 0:
+                moves.append((state.label, port))
+            for record in effects:
+                help_records.append((record, c))
+            if trace_sink is not None:
+                stepped[lead] = (node, old.mode, docker, state.mode, port, effects,
+                                 arbitrations.get(node, "null"))
+        if trace_sink is not None:
+            for lab in world.unsettled:
+                node, before, docker, after, port, effects, mutex = stepped[cohort_of[lab - 1][0]]
+                if lab == docker:
+                    after, port, effects = SETTLED, -1, ()
+                effects = tuple(e._replace(visitor_label=lab) for e in effects)
                 trace_sink(trace_record_line(
-                    event_no, rnd, lab, node, old.mode, state.mode, port,
-                    arbitrations.get(node, "null"), effects,
+                    event_no, rnd, lab, node, before, after, port, mutex, effects,
                 ))
                 event_no += 1
-        for lab, node in docks:
-            world.dock(lab, node, rnd)
-        for record in help_records:
+
+        for c, node in docks:
+            world.dock(c.pop(0), node, rnd)
+        for record, c in help_records:
             world.apply_help_record(record)
+            slots = world.records[record.docked_label - 1]
+            code, others = slots[record.visitor_label], c[1:]
+            if others and others[-1] - others[0] == len(others) - 1:
+                # consecutive labels, as a colocated start gives: one store
+                slots[others[0]:others[-1] + 1] = array(slots.typecode, [code]) * len(others)
+            else:
+                for lab in others:
+                    slots[lab] = code
+        cohorts = [c for c in cohorts if c]
         apply_moves_single_lane(world, moves)
 
+    # cut off at the bound: members still parked take their lead's state
+    for c in cohorts:
+        for lab in c[1:]:
+            states[lab - 1] = states[c[0] - 1]._replace(label=lab)
+            positions[lab - 1], peak_stack[lab - 1] = positions[c[0] - 1], peak_stack[c[0] - 1]
     return _build_report(world, algorithm, rounds_elapsed, None, trace_sink)
 
 

@@ -1,7 +1,8 @@
 """Shared test machinery: seeded random instances, a trace sink that parses
-what it receives, a check of a step value's type and arity, and the
+what it receives, a check of a step value's type and arity, the
 docking-disabled single-robot traversal harness used for DFS-oracle
-equivalence."""
+equivalence, and the per-robot synchronous walk that the engine's cohort
+walk is checked against."""
 
 from __future__ import annotations
 
@@ -9,8 +10,16 @@ import json
 import random
 from typing import Callable
 
+from dispersim import engine
 from dispersim.agents import HelpingState, IndependentState
-from dispersim.algorithms import LocalView, helping_step, independent_step, settled_service
+from dispersim.algorithms import (
+    HelpRecord,
+    LocalView,
+    helping_step,
+    independent_step,
+    settled_service,
+)
+from dispersim.analysis import RunReport
 from dispersim.graph import InitialPlacement, PortLabeledGraph, build_graph, generate
 
 STEP_FUNCTIONS = {"helping": helping_step, "independent": independent_step}
@@ -99,3 +108,62 @@ def traversal_without_docking(
         seq.append((pos, dest))
         pos, pending = dest, entry
     return seq
+
+
+def reference_run_sync(
+    graph: PortLabeledGraph,
+    placement,
+    algorithm="helping-sync",
+    mutex_policy="lowest-label",
+    trace_sink: Callable[[str], None] | None = None,
+) -> RunReport:
+    """The synchronous engine as a per-robot walk: one step per unsettled
+    robot per round, in label order, computed from the pre-round snapshot.
+
+    Each free node's mutex is arbitrated at its first robot among every
+    unsettled robot parked there, by the policy's full (arrival index, entry
+    port, label) key; each successor state is applied and its event traced
+    in the walk; then docks are applied, then help records, then all moves
+    land with single-lane arrival ordering.  ``engine.run_sync`` steps each
+    cohort once instead and must give the same trace bytes and report.
+    """
+    algorithm, mutex_policy, world, step = engine._start(
+        graph, placement, algorithm, mutex_policy, True
+    )
+    event_no = 0
+    rounds_elapsed = 0
+    for rnd in range(engine.sync_round_bound(graph) + 1):
+        if not world.unsettled:
+            break
+        rounds_elapsed = rnd
+        winners: dict[int, int] = {}
+        arbitrations: dict[int, str] = {}
+        docks: list[tuple[int, int]] = []
+        help_records: list[HelpRecord] = []
+        moves: list[tuple[int, int]] = []
+        for lab in world.unsettled:
+            node = world.positions[lab - 1]
+            view = world.local_view(lab)
+            if view.docked is None and node not in winners:
+                contenders, winners[node] = world.arbitrate(node, mutex_policy)
+                arbitrations[node] = engine.mutex_json(contenders, winners[node])
+            old = world.states[lab - 1]
+            state, port, effects = step(old, view, winners.get(node))
+            world.apply_state(lab, state)
+            if port >= 0:
+                moves.append((lab, port))
+            else:
+                docks.append((lab, node))
+            help_records += effects
+            if trace_sink is not None:
+                trace_sink(engine.trace_record_line(
+                    event_no, rnd, lab, node, old.mode, state.mode, port,
+                    arbitrations.get(node, "null"), effects,
+                ))
+                event_no += 1
+        for lab, node in docks:
+            world.dock(lab, node, rnd)
+        for record in help_records:
+            world.apply_help_record(record)
+        engine.apply_moves_single_lane(world, moves)
+    return engine._build_report(world, algorithm, rounds_elapsed, None, trace_sink)

@@ -32,7 +32,12 @@ from dispersim.engine import (
 )
 from dispersim.graph import InitialPlacement, build_graph, generate, relabel_nodes
 
-from harness import assert_exact, random_connected_instance, record_sink
+from harness import (
+    assert_exact,
+    random_connected_instance,
+    record_sink,
+    reference_run_sync,
+)
 
 TRIANGLE = build_graph([(0, 1), (0, 2), (1, 2)])
 
@@ -129,26 +134,78 @@ def test_sync_triangle_final_configuration():
 
 
 @pytest.mark.parametrize("alg", [Algorithm.HELPING_SYNC, Algorithm.INDEPENDENT_SYNC])
-def test_robots_stepping_after_the_winner_see_the_round_start_world(monkeypatch, alg):
-    # robot 1 wins node 0 in round 0 and its successor state applies inside
-    # the walk, but its dock waits for the end of the round: robots 2 and 3,
-    # stepping later in that walk, still meet a free node and its arbitration
-    name = "helping_sync_step" if alg is Algorithm.HELPING_SYNC else "independent_step"
-    step, seen = getattr(engine, name), {}
-
-    def watched(state, view, mutex_winner):
-        if state.round == 0:
-            seen[state.label] = (view.docked, mutex_winner)
-        return step(state, view, mutex_winner)
-
-    monkeypatch.setattr(engine, name, watched)
+def test_robots_stepping_after_the_winner_see_the_round_start_world(alg):
+    # robot 1 wins node 0 in round 0, but its dock waits for the end of the
+    # round: robots 2 and 3, stepping in that round, still meet a free node
+    # and its arbitration, and leave it as mutex losers
     records = []
     assert run_sync(TRIANGLE, [0, 0, 0], alg, trace_sink=record_sink(records)).dispersed
     first = [rec for rec in records if rec["round"] == 0]
     assert [rec["robot"] for rec in first] == [1, 2, 3]
     assert first[0]["action"] == {"type": "dock"}
-    assert seen == {1: (None, 1), 2: (None, 1), 3: (None, 1)}
+    assert [rec["action"]["type"] for rec in first[1:]] == ["move", "move"]
     assert [rec["mutex"] for rec in first] == [{"contenders": [1, 2, 3], "winner": 1}] * 3
+    # a helping loser's first visit is recorded at the fresh winner
+    help_ = [[[1, 2, -1]], [[1, 3, -1]]] if alg is Algorithm.HELPING_SYNC else [[], []]
+    assert [rec["help"] for rec in first[1:]] == help_
+
+
+def _cohorts_share_an_edge(lines: list[str], placement) -> bool:
+    """Whether, in some round of a synchronous trace, robots that started at
+    different nodes leave one node through one port."""
+    starts: dict[tuple, set] = {}
+    for rec in map(json.loads, lines):
+        if rec["action"]["type"] == "move":
+            crossing = (rec["round"], rec["node"], rec["action"]["port"])
+            starts.setdefault(crossing, set()).add(placement[rec["robot"] - 1])
+    return any(len(s) > 1 for s in starts.values())
+
+
+def _cohort_instances(rng: random.Random):
+    """(graph, placement) pairs: two cohorts that meet at a free node in
+    round 1 and cross one edge together in rounds 3 and 4, then seeded
+    random graphs, each with random, distinct, one-node and few-node
+    placements."""
+    yield generate("gnm", 7, 14, seed=1, ports="random"), [0] * 3 + [1] * 4
+    for _ in range(30):
+        g, scattered = random_connected_instance(rng, n_max=24)
+        n, k = g.node_count, scattered.robot_count
+        starts = rng.sample(range(n), min(n, 3))
+        yield g, scattered.robot_positions
+        yield g, rng.sample(range(n), k)
+        yield g, [starts[0]] * k
+        yield g, [rng.choice(starts) for _ in range(k)]
+
+
+@pytest.mark.parametrize("mutex", list(MutexPolicy))
+@pytest.mark.parametrize("alg", [Algorithm.HELPING_SYNC, Algorithm.INDEPENDENT_SYNC])
+def test_cohort_walk_matches_the_per_robot_walk(alg, mutex):
+    # the engine steps each cohort once; the per-robot oracle steps every
+    # robot: same trace bytes, same report, traced or not
+    shared = 0
+    for g, placement in _cohort_instances(random.Random(31)):
+        ours, oracle = [], []
+        report = run_sync(g, placement, alg, mutex, ours.append)
+        assert report == reference_run_sync(g, placement, alg, mutex, oracle.append)
+        assert ours == oracle
+        assert run_sync(g, placement, alg, mutex) == report
+        shared += _cohorts_share_an_edge(ours, placement)
+    if mutex is MutexPolicy.EARLIEST_ARRIVAL:
+        # the sample holds cohorts that cross one edge in one round
+        assert shared > 0
+
+
+@pytest.mark.parametrize("alg", [Algorithm.HELPING_SYNC, Algorithm.INDEPENDENT_SYNC])
+def test_cohort_walk_cut_off_at_the_round_bound_matches_the_per_robot_walk(monkeypatch, alg):
+    # members still parked when the rounds run out report their lead's
+    # state, position and peak stack
+    monkeypatch.setattr(engine, "sync_round_bound", lambda graph: 3)
+    g = generate("grid", 25, seed=2, ports="random")
+    placement = [0] * 10 + [24] * 8 + [12]
+    for mutex in MutexPolicy:
+        report = run_sync(g, placement, alg, mutex)
+        assert not report.dispersed
+        assert report == reference_run_sync(g, placement, alg, mutex)
 
 
 def test_sync_rejects_async_algorithm():
@@ -616,7 +673,13 @@ def test_report_peak_memory_matches_per_step_observer(monkeypatch, alg, mutex, g
     peaks = _observe_peak_memory(monkeypatch, graph, k)
     records = []
     scheduler = None if alg.is_sync else SeededRandom(seed=4)
+    if alg.is_sync:
+        # the engine steps each cohort once, so the observer watches the
+        # per-robot oracle, whose report the engine's must equal
+        oracle = reference_run_sync(graph, placement, alg, mutex)
     report = run(graph, placement, alg, scheduler, mutex, trace_sink=record_sink(records))
+    if alg.is_sync:
+        assert report == oracle
     assert report.dispersed
     assert [r.peak_memory_bits for r in report.robots] == [peaks[lab] for lab in range(1, k + 1)]
     if not alg.is_sync and mutex is MutexPolicy.EARLIEST_ARRIVAL and len(set(placement)) == 1:
