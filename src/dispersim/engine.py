@@ -159,27 +159,35 @@ class _FairSelector:
     picked at decision 1 - l.  The staggered starts keep the counts pairwise
     distinct forever, so at most one robot sits at the bound per decision,
     none exceeds it, and the starved robot is the least recently picked.
+
+    The deadline is some earlier front's last pick plus the bound.  The
+    front's last pick only grows (a front leaves only when picked or dropped,
+    and every robot behind it was picked later), so no robot reaches the
+    bound before the deadline, and the front is checked only once ``now`` does.
     """
 
     def __init__(self, k: int, bound: int, choose: Callable[[Sequence[int]], int]) -> None:
         self._choose = choose
         self._bound = bound
-        self._now = 0
+        self._now = self._deadline = 0
         # label -> last pick, least recently picked first; settled labels
         # leave lazily, when they reach the front at the bound
         self._order = OrderedDict((label, 1 - label) for label in range(k, 0, -1))
 
     def select(self, unsettled: Sequence[int]) -> int:
         order, now = self._order, self._now
-        while True:
+        while now >= self._deadline:
             front = next(iter(order))
-            if now - order[front] < self._bound:
+            self._deadline = order[front] + self._bound
+            if now < self._deadline:
                 pick = self._choose(unsettled)
                 break
             if _holds(unsettled, front):
                 pick = front
                 break
             del order[front]
+        else:
+            pick = self._choose(unsettled)
         order.move_to_end(pick)
         order[pick] = self._now = now + 1
         return pick
@@ -202,16 +210,19 @@ def _make_selector(policy: SchedulerPolicy, k: int):
     if weights is not None and len(weights) != k:
         raise ValueError(f"need one delay weight per robot ({k}), got {len(weights)}")
     # labels by (weight, label); the cursor passes settled labels, which
-    # never return
+    # never return, so it stands while no robot settles: unsettled only
+    # shrinks, and a list of unchanged length holds the same labels
     ranked = list(range(1, k + 1))
     if weights is not None:
         ranked.sort(key=lambda l: (weights[l - 1], l))
-    cursor = 0
+    cursor, size = 0, -1
 
     def lowest_weight(unsettled: Sequence[int]) -> int:
-        nonlocal cursor
-        while not _holds(unsettled, ranked[cursor]):
-            cursor += 1
+        nonlocal cursor, size
+        if len(unsettled) != size:
+            size = len(unsettled)
+            while not _holds(unsettled, ranked[cursor]):
+                cursor += 1
         return ranked[cursor]
 
     return _FairSelector(k, bound, lowest_weight)
@@ -602,37 +613,58 @@ def run_async(
     land.  Runs until all robots settle or the safety cap
     SAFETY_FACTOR * k * (4m - 2(n-1) + 1) is exceeded (which marks the run
     not dispersed: correct runs never reach it).
+
+    The common event, a step at a docked node and a move on, runs inline on
+    the world's lists: ``local_view``, ``apply_state`` and ``move_robot`` in
+    one pass.  Arbitration at a free node, settling in absentia, docking and
+    help records go through ``WorldState``.
     """
     algorithm, mutex_policy, world, step = _start(
         graph, placement, algorithm, mutex_policy, False
     )
-    k = world.k
+    k, helping, ports = world.k, world.helping, graph.ports
     cap = SAFETY_FACTOR * k * (sync_round_bound(graph) + 1)
-    selector = _make_selector(scheduler_policy, k)
+    select = _make_selector(scheduler_policy, k).select
+    positions, states, docked, records = world.positions, world.states, world.docked, world.records
+    unsettled, peak_stack, pending_entry = world.unsettled, world.peak_stack, world.pending_entry
+    arrival_index, next_arrival = world.arrival_index, world.next_arrival
 
     event = 0
-    while world.unsettled and event < cap:
-        lab = selector.select(world.unsettled)
-        node = world.positions[lab - 1]
-        view = world.local_view(lab)
-        mutex = None if view.docked is not None else world.arbitrate(node, mutex_policy)
-        before = world.states[lab - 1].mode
-        state, port, effects = step(world.states[lab - 1], view, mutex[1] if mutex else None)
+    while unsettled and event < cap:
+        lab = select(unsettled)
+        i = lab - 1
+        node, old = positions[i], states[i]
+        table, here = ports[node], docked.get(node)
+        if here is None:
+            mutex, slot = world.arbitrate(node, mutex_policy), 0
+        else:
+            mutex, slot = None, records[here - 1][lab] if helping else 0
+        view = new_local_view((len(table), here, pending_entry[i], slot))
+        state, port, effects = step(old, view, mutex[1] if mutex else None)
 
         if mutex is not None and mutex[1] != lab:
             world.settle_in_absentia(mutex[1], node, event, step)
-        world.apply_state(lab, state)
+        if old.mode is SETTLED and state.mode is not SETTLED:
+            raise SimulationInvariantError(f"robot {lab} attempted to leave the settled mode")
+        states[i] = state
+        if not helping and len(state.stack) > peak_stack[i]:
+            peak_stack[i] = len(state.stack)
         for record in effects:
             world.apply_help_record(record)
         if port >= 0:
-            dest, entry = graph.traverse(node, port)
-            world.move_robot(lab, dest, entry)
+            try:
+                dest, entry = table[port]
+            except IndexError:
+                dest, entry = graph.traverse(node, port)  # raises its GraphError
+            positions[i], pending_entry[i] = dest, entry
+            arrival_index[i] = next_arrival[dest]
+            next_arrival[dest] += 1
         else:
             world.dock(lab, node, event)
 
         if trace_sink is not None:
             trace_sink(trace_record_line(
-                event, None, lab, node, before, state.mode, port,
+                event, None, lab, node, old.mode, state.mode, port,
                 "null" if mutex is None else mutex_json(*mutex), effects,
             ))
         event += 1

@@ -1,8 +1,9 @@
 """Shared test machinery: seeded random instances, a trace sink that parses
 what it receives, a check of a step value's type and arity, the
 docking-disabled single-robot traversal harness used for DFS-oracle
-equivalence, and the per-robot synchronous walk that the engine's cohort
-walk is checked against."""
+equivalence, the per-robot synchronous walk that the engine's cohort walk
+is checked against, and the asynchronous event walk through ``WorldState``
+that the engine's inline event loop is checked against."""
 
 from __future__ import annotations
 
@@ -167,3 +168,53 @@ def reference_run_sync(
             world.apply_help_record(record)
         engine.apply_moves_single_lane(world, moves)
     return engine._build_report(world, algorithm, rounds_elapsed, None, trace_sink)
+
+
+def reference_run_async(
+    graph: PortLabeledGraph,
+    placement,
+    algorithm="independent-async",
+    scheduler_policy=engine.RoundRobin(),
+    mutex_policy="lowest-label",
+    trace_sink: Callable[[str], None] | None = None,
+) -> RunReport:
+    """The asynchronous engine as an event walk through ``WorldState``.
+
+    Each event builds the acting robot's view with ``local_view``,
+    arbitrates a free node with ``arbitrate``, settles an absent winner in
+    absentia, stores the successor with ``apply_state``, applies help
+    records and lands the move with ``traverse`` and ``move_robot`` (or
+    docks).  The picks come from the engine's own selector, which is checked
+    against its pass-counter oracle elsewhere.  ``engine.run_async`` runs the
+    common event inline instead and must give the same trace bytes and
+    report.
+    """
+    algorithm, mutex_policy, world, step = engine._start(
+        graph, placement, algorithm, mutex_policy, False
+    )
+    cap = engine.SAFETY_FACTOR * world.k * (engine.sync_round_bound(graph) + 1)
+    selector = engine._make_selector(scheduler_policy, world.k)
+    event = 0
+    while world.unsettled and event < cap:
+        lab = selector.select(world.unsettled)
+        node = world.positions[lab - 1]
+        view = world.local_view(lab)
+        mutex = None if view.docked is not None else world.arbitrate(node, mutex_policy)
+        before = world.states[lab - 1].mode
+        state, port, effects = step(world.states[lab - 1], view, mutex[1] if mutex else None)
+        if mutex is not None and mutex[1] != lab:
+            world.settle_in_absentia(mutex[1], node, event, step)
+        world.apply_state(lab, state)
+        for record in effects:
+            world.apply_help_record(record)
+        if port >= 0:
+            world.move_robot(lab, *graph.traverse(node, port))
+        else:
+            world.dock(lab, node, event)
+        if trace_sink is not None:
+            trace_sink(engine.trace_record_line(
+                event, None, lab, node, before, state.mode, port,
+                "null" if mutex is None else engine.mutex_json(*mutex), effects,
+            ))
+        event += 1
+    return engine._build_report(world, algorithm, None, event, trace_sink)

@@ -30,12 +30,13 @@ from dispersim.engine import (
     run_async,
     run_sync,
 )
-from dispersim.graph import InitialPlacement, build_graph, generate, relabel_nodes
+from dispersim.graph import GraphError, InitialPlacement, build_graph, generate, relabel_nodes
 
 from harness import (
     assert_exact,
     random_connected_instance,
     record_sink,
+    reference_run_async,
     reference_run_sync,
 )
 
@@ -289,6 +290,68 @@ def test_ring_async_within_iteration_bound():
     )
 
 
+def _async_instances(rng: random.Random):
+    for family, n in [("ring", 6), ("ring", 13), ("grid", 9), ("grid", 16),
+                      ("random_tree", 7), ("random_tree", 15), ("line", 5), ("line", 12),
+                      ("complete", 4), ("complete", 8)]:
+        g = generate(family, n, seed=n, ports="random")
+        for k in sorted({1, n // 2, n}):
+            yield g, [0] * k
+            yield g, [rng.randrange(n) for _ in range(k)]
+
+
+def _async_schedulers(k: int, rng: random.Random):
+    yield RoundRobin()
+    yield SeededRandom(seed=rng.randrange(2**32))
+    yield SeededRandom(seed=rng.randrange(2**32), fairness_bound=k - 1)
+    yield AdversarialStalling()
+    yield AdversarialStalling(fairness_bound=k - 1)
+    yield AdversarialStalling(weights=tuple(rng.randint(1, 3) for _ in range(k)))  # ties
+
+
+@pytest.mark.parametrize("mutex", list(MutexPolicy))
+@pytest.mark.parametrize("alg", [Algorithm.HELPING_ASYNC, Algorithm.INDEPENDENT_ASYNC])
+def test_inline_event_loop_matches_the_world_state_walk(alg, mutex):
+    # the engine runs the common event inline on the world's lists; the
+    # oracle walks every event through WorldState: same trace bytes, same
+    # report, traced or not
+    rng = random.Random(25)
+    in_absentia = 0
+    for g, placement in _async_instances(rng):
+        for scheduler in _async_schedulers(len(placement), rng):
+            ours, oracle = [], []
+            report = run_async(g, placement, alg, scheduler, mutex, ours.append)
+            assert report.dispersed
+            assert report == reference_run_async(g, placement, alg, scheduler, mutex, oracle.append)
+            assert ours == oracle
+            assert run_async(g, placement, alg, scheduler, mutex) == report
+            for line in ours:
+                rec = json.loads(line)
+                in_absentia += bool(rec["mutex"]) and rec["mutex"]["winner"] != rec["robot"]
+    if mutex is MutexPolicy.EARLIEST_ARRIVAL:
+        assert in_absentia > 0
+
+
+@pytest.mark.parametrize("walk", [run_async, reference_run_async])
+def test_inline_event_loop_raises_like_the_world_state_walk(monkeypatch, walk):
+    g = generate("line", 3)
+
+    def off_the_table(state, view, mutex_winner):
+        return state, view.degree, ()
+
+    monkeypatch.setattr(engine, "independent_step", off_the_table)
+    with pytest.raises(GraphError, match="port 1 out of range at node 0"):
+        walk(g, [0], Algorithm.INDEPENDENT_ASYNC)
+
+    def unsettle(state, view, mutex_winner):
+        mode = Mode.EXPLORE if state.mode is Mode.SETTLED else Mode.SETTLED
+        return state._replace(mode=mode), 0, ()
+
+    monkeypatch.setattr(engine, "independent_step", unsettle)
+    with pytest.raises(SimulationInvariantError, match="robot 1 attempted to leave the settled"):
+        walk(g, [0], Algorithm.INDEPENDENT_ASYNC)
+
+
 def test_absentee_winner_settles_during_losers_event():
     g = generate("line", 3)
     # weights make robot 2 act first; parked robot 1 wins the mutex
@@ -462,22 +525,44 @@ def _selector_pairs(k, bound, rng):
 @pytest.mark.parametrize("k", range(1, 61))
 def test_selectors_pick_like_the_pass_counter_oracle(k):
     rng = random.Random(k)
-    forced = 0
+    forced = favorites_settled = 0
     for bound in (k - 1, k, 2 * k, 10 * k):
         # rare settles let robots starve up to a large bound
         settle_rate = rng.choice((0.5, 0.1, 0.02))
         for oracle, selector in _selector_pairs(k, bound, rng):
             unsettled = list(range(1, k + 1))
-            while unsettled:
+
+            def decide() -> int:
+                nonlocal forced
                 if isinstance(oracle, _OracleFairSelector):
                     forced += max(oracle._passes[l] for l in unsettled) >= bound
                 pick = oracle.select(unsettled)
                 assert selector.select(unsettled) == pick
+                return pick
+
+            # stretches of at least 3 * bound decisions without a settle, each
+            # ending in the settle of a robot the last decision passed over:
+            # the fairness deadline is reached and recomputed many times, and
+            # the adversary's favourite can settle without being picked (one
+            # stretch at the default bound, the longest)
+            for _ in range(min(k - 1, 1 if bound == 10 * k else 2)):
+                for _ in range(3 * bound + 1 + rng.randrange(k)):
+                    pick = decide()
+                victim = rng.choice([l for l in unsettled if l != pick])
+                if isinstance(oracle, _OracleAdversarialSelector) and rng.random() < 0.5:
+                    favorite = oracle._choose(unsettled)
+                    if favorite != pick:
+                        victim = favorite
+                        favorites_settled += 1
+                unsettled.remove(victim)
+            while unsettled:
+                pick = decide()
                 if rng.random() < settle_rate:
                     unsettled.remove(pick)
                 if unsettled and rng.random() < settle_rate:
                     unsettled.remove(rng.choice(unsettled))
     assert forced
+    assert favorites_settled or k < 3
 
 
 def test_world_rejects_second_dock_on_same_node():
