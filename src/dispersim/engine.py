@@ -406,7 +406,7 @@ def trace_record_line(
     act = f'{{"type":"move","port":{port}}}' if port >= 0 else '{"type":"dock"}'
     help_ = ""
     if effects:
-        help_ = ",".join(f"[{e.docked_label},{e.visitor_label},{e.entry_port}]" for e in effects)
+        help_ = ",".join(f"[{d},{v},{p}]" for d, v, p in effects)
     return (
         f'{head}"robot":{robot},"node":{node},"mode_before":"{mode_before._value_}",'
         f'"mode_after":"{mode_after._value_}","action":{act},"mutex":{mutex},"help":[{help_}]}}'
@@ -502,8 +502,8 @@ def run_sync(
     started there), numbered in (entry port, label) order, so each free
     node is arbitrated among the leads parked there.  A lead's help record
     is applied and its slot code copied to the other members, whose slots
-    always equal it.  A traced run writes one line per robot in label order,
-    expanded from its cohort's step: the bytes a per-robot walk writes.
+    always equal it.  A traced run renders each cohort step's line once and
+    stamps each robot's line from it: the bytes a per-robot walk writes.
     Docks, then help records, then the leads' moves (single-lane) apply at
     the end of the round.  Stops early once every robot settled.
     """
@@ -516,6 +516,15 @@ def run_sync(
     # state and position until they lead
     cohorts = list(by_start.values())
     cohort_of = [by_start[node] for node in positions]
+
+    # a traced cohort step's line after its event number, split where each
+    # robot writes its label: after "robot" and as each help record's visitor
+    # (a JSON line holds no raw newline); reads the round in progress
+    def split_line(node, before, state, port, effects):
+        return trace_record_line(
+            "\n", rnd, "\n", node, before, state.mode, port, arbitrations.get(node, "null"),
+            [(d, "\n", p) for d, _, p in effects],
+        ).split("\n")[1:]
 
     event_no = rounds_elapsed = 0
     for rnd in range(sync_round_bound(graph) + 1):
@@ -538,8 +547,7 @@ def run_sync(
             if trace_sink is not None:
                 arbitrations[node] = mutex_json(sorted(chain(*here)), winners[node])
 
-        # round-start lead -> (node, mode before, the lead if it docks, and
-        # the others' mode after, port, effects and "mutex" value)
+        # round-start lead -> its cohort's split line and the lead's own
         docks, help_records, moves, stepped = [], [], [], {}
         for c in cohorts:
             lead = c[0]
@@ -547,30 +555,28 @@ def run_sync(
             view = world.local_view(lead)
             state, port, effects = step(old, view, winners.get(node))
             world.apply_state(lead, state)
-            docker = lead if port < 0 else 0
-            if docker:
+            if trace_sink is not None:
+                own = parts = split_line(node, old.mode, state, port, effects)
+            if port < 0:
                 docks.append((c, node))
                 if len(c) > 1:
                     nxt = c[1]
                     positions[nxt - 1], peak_stack[nxt - 1] = node, peak_stack[lead - 1]
                     state, port, effects = step(old._replace(label=nxt), view, winners[node])
                     world.apply_state(nxt, state)
+                    if trace_sink is not None:
+                        parts = split_line(node, old.mode, state, port, effects)
             if port >= 0:
                 moves.append((state.label, port))
             for record in effects:
                 help_records.append((record, c))
             if trace_sink is not None:
-                stepped[lead] = (node, old.mode, docker, state.mode, port, effects,
-                                 arbitrations.get(node, "null"))
+                stepped[lead] = parts, own
         if trace_sink is not None:
             for lab in world.unsettled:
-                node, before, docker, after, port, effects, mutex = stepped[cohort_of[lab - 1][0]]
-                if lab == docker:
-                    after, port, effects = SETTLED, -1, ()
-                effects = tuple(e._replace(visitor_label=lab) for e in effects)
-                trace_sink(trace_record_line(
-                    event_no, rnd, lab, node, before, after, port, mutex, effects,
-                ))
+                lead = cohort_of[lab - 1][0]
+                parts, own = stepped[lead]
+                trace_sink(f'{{"event":{event_no}{str(lab).join(own if lab == lead else parts)}')
                 event_no += 1
 
         for c, node in docks:

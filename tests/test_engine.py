@@ -162,6 +162,36 @@ def _cohorts_share_an_edge(lines: list[str], placement) -> bool:
     return any(len(s) > 1 for s in starts.values())
 
 
+def _template_shapes(lines: list[str], placement) -> set[str]:
+    """The line shapes of a synchronous trace that the engine renders from a
+    cohort's split line: a docking lead followed by a member of its cohort
+    that lost the lead's mutex and keeps a help record at it ("dock, then
+    loser"), a help record whose visitor is not the round's lead ("member
+    visitor"), and a round whose cohort labels are not consecutive
+    ("interleaved"); a cohort is the robots that started at one node."""
+    shapes, rounds = set(), {}
+    for rec in map(json.loads, lines):
+        rounds.setdefault(rec["round"], []).append(rec)
+    for recs in rounds.values():
+        leads, docked, labels = {}, {}, {}
+        for rec in recs:
+            robot, start = rec["robot"], placement[rec["robot"] - 1]
+            lead = leads.setdefault(start, robot)
+            labels.setdefault(start, []).append(robot)
+            if rec["action"]["type"] == "dock":
+                docked[start] = robot
+            for d, v, _ in rec["help"]:
+                assert v == robot
+                if v != lead:
+                    shapes.add("member visitor")
+                mutex = rec["mutex"]
+                if docked.get(start) == d and mutex and mutex["winner"] == d:
+                    shapes.add("dock, then loser")
+        if any(c[-1] - c[0] != len(c) - 1 for c in labels.values()):
+            shapes.add("interleaved")
+    return shapes
+
+
 def _cohort_instances(rng: random.Random):
     """(graph, placement) pairs: two cohorts that meet at a free node in
     round 1 and cross one edge together in rounds 3 and 4, then seeded
@@ -183,7 +213,7 @@ def _cohort_instances(rng: random.Random):
 def test_cohort_walk_matches_the_per_robot_walk(alg, mutex):
     # the engine steps each cohort once; the per-robot oracle steps every
     # robot: same trace bytes, same report, traced or not
-    shared = 0
+    shared, shapes = 0, set()
     for g, placement in _cohort_instances(random.Random(31)):
         ours, oracle = [], []
         report = run_sync(g, placement, alg, mutex, ours.append)
@@ -191,9 +221,37 @@ def test_cohort_walk_matches_the_per_robot_walk(alg, mutex):
         assert ours == oracle
         assert run_sync(g, placement, alg, mutex) == report
         shared += _cohorts_share_an_edge(ours, placement)
+        shapes |= _template_shapes(ours, placement)
     if mutex is MutexPolicy.EARLIEST_ARRIVAL:
         # the sample holds cohorts that cross one edge in one round
         assert shared > 0
+    # the sample holds every line shape the cohort's split line writes
+    expected = {"interleaved"}
+    if alg is Algorithm.HELPING_SYNC:
+        expected |= {"dock, then loser", "member visitor"}
+    assert shapes == expected
+
+
+def test_cohort_lines_carry_every_help_record_of_the_step(monkeypatch):
+    # today's helping step leaves at most one record; a step leaving two
+    # still gives each member its own label as the visitor of each record
+    def twice(state, view, winner):
+        state, port, effects = helping_step(state, view, winner)
+        return state, port, effects * 2
+
+    monkeypatch.setattr(engine, "helping_sync_step", twice)
+    g = generate("grid", 16, seed=3, ports="random")
+    placement = [0] * 6 + [5] * 5 + [0] * 3
+    ours, oracle = [], []
+    report = run_sync(g, placement, "helping-sync", "lowest-label", ours.append)
+    assert report.dispersed
+    assert report == reference_run_sync(g, placement, "helping-sync", "lowest-label", oracle.append)
+    assert ours == oracle
+    doubled = [rec for rec in map(json.loads, ours) if len(rec["help"]) == 2]
+    assert doubled
+    for rec in doubled:
+        first, second = rec["help"]
+        assert first == second and first[1] == rec["robot"]
 
 
 @pytest.mark.parametrize("alg", [Algorithm.HELPING_SYNC, Algorithm.INDEPENDENT_SYNC])
@@ -204,9 +262,12 @@ def test_cohort_walk_cut_off_at_the_round_bound_matches_the_per_robot_walk(monke
     g = generate("grid", 25, seed=2, ports="random")
     placement = [0] * 10 + [24] * 8 + [12]
     for mutex in MutexPolicy:
-        report = run_sync(g, placement, alg, mutex)
+        ours, oracle = [], []
+        report = run_sync(g, placement, alg, mutex, ours.append)
         assert not report.dispersed
-        assert report == reference_run_sync(g, placement, alg, mutex)
+        assert report == reference_run_sync(g, placement, alg, mutex, oracle.append)
+        assert ours == oracle
+        assert run_sync(g, placement, alg, mutex) == report
 
 
 def test_sync_rejects_async_algorithm():
