@@ -11,7 +11,6 @@ from .agents import (
     memory_bits_independent,
 )
 from .algorithms import (
-    HelpRecord,
     LocalView,
     SimulationInvariantError,
     helping_step,
@@ -32,15 +31,11 @@ from .analysis import (
 from .engine import (
     AdversarialStalling,
     Algorithm,
-    Contender,
     JsonlTraceWriter,
     MutexPolicy,
     RoundRobin,
     SchedulerPolicy,
     SeededRandom,
-    WorldState,
-    arbitrate_mutex,
-    apply_moves_single_lane,
     run,
     run_async,
     run_sync,
@@ -53,9 +48,7 @@ from .graph import (
     generate,
     graph_from_text,
     graph_to_text,
-    read_graph,
     relabel_nodes,
-    write_graph,
 )
 
 __version__ = "0.1.0"

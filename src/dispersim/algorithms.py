@@ -5,7 +5,8 @@ port, effects)``: it consumes the robot state, the local node view and the
 node's mutex winner, and returns the successor state, the port the robot
 leaves by (-1, the model's "no port" value, when it docks) and the help
 records to apply at serving docked robots (always empty for the independent
-family).  Steps never mutate anything: the engine owns all state
+family), each a ``(docked label, entry port)`` pair whose visitor is the
+stepping robot.  Steps never mutate anything: the engine owns all state
 application, which keeps runs replayable from a single mutation point.
 
 A step sees only the local view: node degree, the docked robot's label, the
@@ -26,7 +27,6 @@ from .agents import BACKTRACK, EXPLORE, SETTLED, HelpingState, IndependentState
 __all__ = [
     "SimulationInvariantError",
     "LocalView",
-    "HelpRecord",
     "helping_step",
     "independent_step",
     "settled_service",
@@ -60,15 +60,6 @@ new_independent_state = partial(tuple.__new__, IndependentState)
 new_local_view = partial(tuple.__new__, LocalView)
 
 
-class HelpRecord(NamedTuple):
-    """First-visit record to apply at a docked robot: ``settled_service``
-    stores ``entry_port`` in its slot for ``visitor_label``."""
-
-    docked_label: int
-    visitor_label: int
-    entry_port: int
-
-
 def settled_service(record: array, visitor_label: int, visitor_port: int) -> None:
     """One docked-robot service exchange with a visitor j, in place on the
     docked robot's visitor record: slot j is 0 until j's first visit, which
@@ -81,13 +72,13 @@ def settled_service(record: array, visitor_label: int, visitor_port: int) -> Non
 
 def helping_step(
     state: HelpingState, view: LocalView, mutex_winner: int | None
-) -> tuple[HelpingState, int, tuple[HelpRecord, ...]]:
+) -> tuple[HelpingState, int, tuple[tuple[int, int], ...]]:
     """One loop-body iteration of the helping algorithm, in either engine.
 
     A settled robot never acts: its helper block is realized through its
-    visitors' steps, whose HelpRecords the engine applies to its visitor
+    visitors' steps, whose help records the engine applies to its visitor
     records.  The winner's recording of robots co-located at docking time is
-    realized by the losers' HelpRecords; in the asynchronous engine the
+    realized by the losers' help records; in the asynchronous engine the
     winner may be a parked robot other than the acting one, which the engine
     settles within the same event, before applying this step's records.
 
@@ -104,7 +95,7 @@ def helping_step(
     if rnd > 0:
         pe = pp = entry_port
         seen = False
-    effects: tuple[HelpRecord, ...] = ()
+    effects: tuple[tuple[int, int], ...] = ()
 
     if docked is not None:
         # node claimed in an earlier round: decode own slot at the dock
@@ -115,7 +106,7 @@ def helping_step(
                 new = new_helping_state((label, BACKTRACK, pe, pp, seen, rnd + 1))
                 return new, pe, ()
             pp = pe
-            effects = (HelpRecord(docked, label, pe),)
+            effects = ((docked, pe),)
     elif mode is BACKTRACK:
         # the target of a backtrack always holds a docked robot
         raise SimulationInvariantError(
@@ -129,7 +120,7 @@ def helping_step(
         # loser: a first visit at the fresh winner, whose records are blank;
         # here pp == pe and seen is False already, so the winner records
         # this robot's current entry port
-        effects = (HelpRecord(mutex_winner, label, pe),)
+        effects = ((mutex_winner, pe),)
 
     pe = (pe + 1) % degree
     mode = BACKTRACK if pe == pp else EXPLORE
@@ -138,7 +129,7 @@ def helping_step(
 
 def independent_step(
     state: IndependentState, view: LocalView, mutex_winner: int | None
-) -> tuple[IndependentState, int, tuple[HelpRecord, ...]]:
+) -> tuple[IndependentState, int, tuple[tuple[int, int], ...]]:
     """One loop-body iteration of the independent algorithm.
 
     The robot keeps its own visited bitset (bit j for docked robot j) and a

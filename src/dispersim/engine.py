@@ -14,7 +14,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .agents import (
     SETTLED,
@@ -25,7 +25,6 @@ from .agents import (
     memory_bits_independent,
 )
 from .algorithms import (
-    HelpRecord,
     LocalView,
     SimulationInvariantError,
     helping_step,
@@ -43,7 +42,6 @@ __all__ = [
     "SeededRandom",
     "AdversarialStalling",
     "SchedulerPolicy",
-    "Contender",
     "WorldState",
     "arbitrate_mutex",
     "apply_moves_single_lane",
@@ -110,24 +108,15 @@ class AdversarialStalling:
 SchedulerPolicy = RoundRobin | SeededRandom | AdversarialStalling
 
 
-class Contender(NamedTuple):
-    label: int
-    entry_port: int
-    arrival_index: int
-
-
-def arbitrate_mutex(contenders: Sequence[Contender], policy: MutexPolicy) -> int:
-    """Pick the single docking winner among co-located undocked robots.
-
-    lowest-label ignores arrival data; earliest-arrival compares
-    (arrival index, entry port, label) lexicographically.
-    """
+def arbitrate_mutex(contenders: Sequence[tuple[int, int, int]], policy: MutexPolicy) -> int:
+    """Pick the single docking winner among co-located undocked robots,
+    given as (arrival index, entry port, label) tuples: lowest-label takes
+    the least label, earliest-arrival the least tuple."""
     if not contenders:
         raise ValueError("mutex arbitration requires at least one contender")
     if policy is MutexPolicy.LOWEST_LABEL:
-        return min(c.label for c in contenders)
-    best = min(contenders, key=lambda c: (c.arrival_index, c.entry_port, c.label))
-    return best.label
+        return min(c[2] for c in contenders)
+    return min(contenders)[2]
 
 
 class _RoundRobinSelector:
@@ -277,11 +266,10 @@ class WorldState:
             return new_local_view((degree, docked, entry, 0))
         return new_local_view((degree, docked, entry, self.records[docked - 1][lab]))
 
-    def contenders_at(self, node: int) -> list[Contender]:
-        return [
-            Contender(l, self.pending_entry[l - 1], self.arrival_index[l - 1])
-            for l in self.robots_at(node)
-        ]
+    def contenders_at(self, node: int) -> list[tuple[int, int, int]]:
+        """The robots parked at ``node`` as (arrival index, entry port, label)."""
+        arrival, entry = self.arrival_index, self.pending_entry
+        return [(arrival[l - 1], entry[l - 1], l) for l in self.robots_at(node)]
 
     def arbitrate(self, node: int, policy: MutexPolicy) -> tuple[list[int], int]:
         """Arbitrate the mutex at a free node: returns the contender labels
@@ -291,7 +279,7 @@ class WorldState:
         winner = arbitrate_mutex(contenders, policy)
         if len(contenders) > 1:
             self.mutex_contentions += 1
-        return [c.label for c in contenders], winner
+        return [c[2] for c in contenders], winner
 
     def apply_state(self, lab: int, state) -> None:
         old = self.states[lab - 1]
@@ -323,14 +311,13 @@ class WorldState:
         self.apply_state(lab, state)
         self.dock(lab, node, when)
 
-    def apply_help_record(self, record: HelpRecord) -> None:
-        slots = self.records[record.docked_label - 1]
+    def apply_help_record(self, visitor: int, docked: int, entry: int) -> None:
+        slots = self.records[docked - 1]
         if slots is None:
             raise SimulationInvariantError(
-                f"robot {record.docked_label} keeps no visitor record and "
-                "cannot serve visitors"
+                f"robot {docked} keeps no visitor record and cannot serve visitors"
             )
-        settled_service(slots, record.visitor_label, record.entry_port)
+        settled_service(slots, visitor, entry)
 
     def move_robot(self, lab: int, dest: int, entry: int) -> None:
         """Land robot ``lab`` at ``dest`` through port ``entry``, as the
@@ -392,7 +379,7 @@ def trace_record_line(
     mode_after: Mode,
     port: int,
     mutex: str,
-    effects: Sequence[HelpRecord],
+    effects: Sequence[tuple[int, int]],
 ) -> str:
     """One trace event as a line of compact JSON, without the newline: the
     bytes json.dumps with compact separators would write, formatted directly.
@@ -400,13 +387,13 @@ def trace_record_line(
     Keys in order: event, round (synchronous engine only), robot, node,
     mode_before, mode_after, action (a move through ``port``, or a dock
     when ``port`` is -1), mutex (``mutex_json`` of the arbitration, or
-    "null" at a docked node), help.
+    "null" at a docked node), help ([docked, robot, entry port] per record).
     """
     head = f'{{"event":{event},' if rnd is None else f'{{"event":{event},"round":{rnd},'
     act = f'{{"type":"move","port":{port}}}' if port >= 0 else '{"type":"dock"}'
     help_ = ""
     if effects:
-        help_ = ",".join(f"[{d},{v},{p}]" for d, v, p in effects)
+        help_ = ",".join(f"[{d},{robot},{p}]" for d, p in effects)
     return (
         f'{head}"robot":{robot},"node":{node},"mode_before":"{mode_before._value_}",'
         f'"mode_after":"{mode_after._value_}","action":{act},"mutex":{mutex},"help":[{help_}]}}'
@@ -523,7 +510,7 @@ def run_sync(
     def split_line(node, before, state, port, effects):
         return trace_record_line(
             "\n", rnd, "\n", node, before, state.mode, port, arbitrations.get(node, "null"),
-            [(d, "\n", p) for d, _, p in effects],
+            effects,
         ).split("\n")[1:]
 
     event_no = rounds_elapsed = 0
@@ -539,8 +526,7 @@ def run_sync(
         winners, arbitrations = {}, {}
         for node, here in parked.items():
             winners[node] = arbitrate_mutex([
-                Contender(c[0], world.pending_entry[c[0] - 1], world.arrival_index[c[0] - 1])
-                for c in here
+                (world.arrival_index[c[0] - 1], world.pending_entry[c[0] - 1], c[0]) for c in here
             ], mutex_policy)
             if len(here) > 1 or len(here[0]) > 1:
                 world.mutex_contentions += 1
@@ -569,7 +555,7 @@ def run_sync(
             if port >= 0:
                 moves.append((state.label, port))
             for record in effects:
-                help_records.append((record, c))
+                help_records.append((c, record))
             if trace_sink is not None:
                 stepped[lead] = parts, own
         if trace_sink is not None:
@@ -581,10 +567,11 @@ def run_sync(
 
         for c, node in docks:
             world.dock(c.pop(0), node, rnd)
-        for record, c in help_records:
-            world.apply_help_record(record)
-            slots = world.records[record.docked_label - 1]
-            code, others = slots[record.visitor_label], c[1:]
+        # after the docks, c[0] is the robot whose step made the record
+        for c, (docked, entry) in help_records:
+            world.apply_help_record(c[0], docked, entry)
+            slots = world.records[docked - 1]
+            code, others = slots[c[0]], c[1:]
             if others and others[-1] - others[0] == len(others) - 1:
                 # consecutive labels, as a colocated start gives: one store
                 slots[others[0]:others[-1] + 1] = array(slots.typecode, [code]) * len(others)
@@ -656,7 +643,7 @@ def run_async(
         if not helping and len(state.stack) > peak_stack[i]:
             peak_stack[i] = len(state.stack)
         for record in effects:
-            world.apply_help_record(record)
+            world.apply_help_record(lab, *record)
         if port >= 0:
             try:
                 dest, entry = table[port]

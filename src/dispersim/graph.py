@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "relabel_nodes",
     "graph_to_text",
     "graph_from_text",
-    "write_graph",
-    "read_graph",
 ]
 
 DEFAULT_GNM_RETRIES = 1000
@@ -406,11 +403,3 @@ def graph_from_text(text: str) -> PortLabeledGraph:
         raise
     ports: str | dict[int, list[int]] = port_spec if port_spec else "canonical"
     return build_graph(edges, ports=ports, node_count=n)
-
-
-def write_graph(g: PortLabeledGraph, path: str | Path) -> None:
-    Path(path).write_text(graph_to_text(g), encoding="utf-8", newline="\n")
-
-
-def read_graph(path: str | Path) -> PortLabeledGraph:
-    return graph_from_text(Path(path).read_text(encoding="utf-8"))

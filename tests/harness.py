@@ -1,26 +1,26 @@
 """Shared test machinery: seeded random instances, a trace sink that parses
 what it receives, a check of a step value's type and arity, the
 docking-disabled single-robot traversal harness used for DFS-oracle
-equivalence, the per-robot synchronous walk that the engine's cohort walk
-is checked against, and the asynchronous event walk through ``WorldState``
-that the engine's inline event loop is checked against."""
+equivalence, the walk witness that checks a run from its trace alone, the
+per-robot synchronous walk that the engine's cohort walk is checked
+against, and the asynchronous event walk through ``WorldState`` that the
+engine's inline event loop is checked against."""
 
 from __future__ import annotations
 
 import json
 import random
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from dispersim import engine
 from dispersim.agents import HelpingState, IndependentState
 from dispersim.algorithms import (
-    HelpRecord,
     LocalView,
     helping_step,
     independent_step,
     settled_service,
 )
-from dispersim.analysis import RunReport
+from dispersim.analysis import RunReport, single_robot_dfs_oracle
 from dispersim.graph import InitialPlacement, PortLabeledGraph, build_graph, generate
 
 STEP_FUNCTIONS = {"helping": helping_step, "independent": independent_step}
@@ -102,13 +102,61 @@ def traversal_without_docking(
             view = LocalView(degree, None, pending)
 
         state, port, effects = step(state, view, winner)
-        for record in effects:
-            settled_service(records[phantom_node[record.docked_label]], 1, record.entry_port)
+        for docked, entry in effects:
+            settled_service(records[phantom_node[docked]], 1, entry)
         assert port >= 0, "robot docked while docking is disabled"
         dest, entry = graph.traverse(pos, port)
         seq.append((pos, dest))
         pos, pending = dest, entry
     return seq
+
+
+def assert_walk_witness(
+    lines: Iterable[str],
+    graph: PortLabeledGraph,
+    starts: Sequence[int],
+    walks: dict[int, tuple[list[int], int]] | None = None,
+) -> None:
+    """Check one run from its trace lines (no header), its graph and its
+    robots' start nodes alone: each robot walks a prefix of the single-robot
+    depth-first walk from its own start, and docks by the walk's k-th
+    distinct node.
+
+    A robot's walk is its start, then each node the DFS oracle enters.  The
+    nodes of the robot's own lines, then its docking node, must be a prefix
+    of it.  A robot docks at the node of its dock line, or, settled in
+    absentia by another robot's event, at the node of the event that names
+    it the mutex winner.
+
+    ``walks`` caches start -> (walk, index of its k-th distinct node) across
+    runs that share the graph and k.
+    """
+    k = len(starts)
+    occupied: list[list[int]] = [[] for _ in range(k + 1)]
+    docked_by_line = [False] * (k + 1)
+    won_at: dict[int, int] = {}
+    for line in lines:
+        e = json.loads(line)
+        occupied[e["robot"]].append(e["node"])
+        docked_by_line[e["robot"]] = e["action"]["type"] == "dock"
+        if e["mutex"] is not None:
+            won_at.setdefault(e["mutex"]["winner"], e["node"])
+    walks = {} if walks is None else walks
+    for lab, start in enumerate(starts, 1):
+        if start not in walks:
+            walk = [start] + [to for _, to in single_robot_dfs_oracle(graph, start)]
+            seen: set[int] = set()
+            for last, node in enumerate(walk):
+                seen.add(node)
+                if len(seen) == k:
+                    break
+            walks[start] = walk, last
+        walk, last = walks[start]
+        assert lab in won_at, f"robot {lab} never docked"
+        path = occupied[lab] if docked_by_line[lab] else occupied[lab] + [won_at[lab]]
+        assert path[-1] == won_at[lab], f"robot {lab} docked off its mutex win"
+        assert path == walk[: len(path)], f"robot {lab} left its walk from node {start}"
+        assert len(path) - 1 <= last, f"robot {lab} docked past its walk's {k}-th node"
 
 
 def reference_run_sync(
@@ -140,7 +188,8 @@ def reference_run_sync(
         winners: dict[int, int] = {}
         arbitrations: dict[int, str] = {}
         docks: list[tuple[int, int]] = []
-        help_records: list[HelpRecord] = []
+        # (visitor, docked, entry port)
+        help_records: list[tuple[int, int, int]] = []
         moves: list[tuple[int, int]] = []
         for lab in world.unsettled:
             node = world.positions[lab - 1]
@@ -155,7 +204,7 @@ def reference_run_sync(
                 moves.append((lab, port))
             else:
                 docks.append((lab, node))
-            help_records += effects
+            help_records += [(lab, *record) for record in effects]
             if trace_sink is not None:
                 trace_sink(engine.trace_record_line(
                     event_no, rnd, lab, node, old.mode, state.mode, port,
@@ -165,7 +214,7 @@ def reference_run_sync(
         for lab, node in docks:
             world.dock(lab, node, rnd)
         for record in help_records:
-            world.apply_help_record(record)
+            world.apply_help_record(*record)
         engine.apply_moves_single_lane(world, moves)
     return engine._build_report(world, algorithm, rounds_elapsed, None, trace_sink)
 
@@ -206,7 +255,7 @@ def reference_run_async(
             world.settle_in_absentia(mutex[1], node, event, step)
         world.apply_state(lab, state)
         for record in effects:
-            world.apply_help_record(record)
+            world.apply_help_record(lab, *record)
         if port >= 0:
             world.move_robot(lab, *graph.traverse(node, port))
         else:

@@ -26,9 +26,14 @@ from dispersim.engine import (
     run_async,
     run_sync,
 )
-from dispersim.graph import build_graph, generate
+from dispersim.graph import InitialPlacement, build_graph, generate
 
-from harness import random_connected_instance, record_sink, traversal_without_docking
+from harness import (
+    assert_walk_witness,
+    random_connected_instance,
+    record_sink,
+    traversal_without_docking,
+)
 import reference_traces as ref
 
 GRID_SEED = 20250810
@@ -169,6 +174,32 @@ def test_criterion_6_oracle_equivalence():
         f"docking-disabled traversals equal the DFS oracle on {graphs} graphs "
         "x 2 step functions (exact sequence equality)",
     )
+
+
+def test_every_robot_walks_a_prefix_of_its_dfs_walk():
+    # checked from each run's trace alone: a third of the instances start
+    # colocated at a random node, the rest keep their random placement
+    rng = random.Random(404)
+    runs = 0
+    for idx in range(150):
+        graph, placement = random_connected_instance(rng, n_max=40)
+        if idx % 3 == 0:
+            node = rng.randrange(graph.node_count)
+            placement = InitialPlacement((node,) * placement.robot_count)
+        starts, walks = placement.robot_positions, {}
+        for mutex in MutexPolicy:
+            for alg in SYNC_ALGORITHMS:
+                lines: list[str] = []
+                run_sync(graph, placement, alg, mutex, lines.append)
+                assert_walk_witness(lines, graph, starts, walks)
+                runs += 1
+            for alg in ASYNC_ALGORITHMS:
+                for sched in _schedulers(idx):
+                    lines = []
+                    run_async(graph, placement, alg, sched, mutex, lines.append)
+                    assert_walk_witness(lines, graph, starts, walks)
+                    runs += 1
+    assert runs == 2400
 
 
 def test_criterion_7_determinism_and_replay(grid, tmp_path):

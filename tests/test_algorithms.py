@@ -7,7 +7,6 @@ import pytest
 
 from dispersim.agents import HelpingState, IndependentState, Mode
 from dispersim.algorithms import (
-    HelpRecord,
     LocalView,
     SimulationInvariantError,
     helping_step,
@@ -62,7 +61,7 @@ def test_first_visit_records_entry_and_advances():
     assert new.mode is Mode.EXPLORE
     assert port == 2  # (1 + 1) mod 3
     assert new.parent_ptr == 1
-    assert effects == (HelpRecord(1, 2, 1),)
+    assert effects == ((1, 1),)
 
 
 def test_first_visit_wraps_to_parent_and_backtracks():
@@ -71,7 +70,7 @@ def test_first_visit_wraps_to_parent_and_backtracks():
     new, port, effects = helping_step(state, view(1, 1, entry=0), None)
     assert new.mode is Mode.BACKTRACK
     assert port == 0
-    assert effects == (HelpRecord(1, 2, 0),)
+    assert effects == ((1, 0),)
 
 
 # --- mutex loss ----------------------------------------------------------
@@ -80,7 +79,7 @@ def test_first_visit_wraps_to_parent_and_backtracks():
 def test_loser_records_first_visit_at_fresh_winner():
     state = HelpingState(3)._replace(round=2)
     new, port, effects = helping_step(state, view(2, entry=1), mutex_winner=2)
-    assert effects == (HelpRecord(2, 3, 1),)
+    assert effects == ((2, 1),)
     assert port == 0  # (1 + 1) mod 2
     assert new.mode is Mode.EXPLORE
     assert new.parent_ptr == 1
@@ -223,7 +222,6 @@ def test_free_node_without_arbitration_is_hard_failure():
         (HelpingState(1), "mode"),
         (IndependentState(1), "stack"),
         (LocalView(2, None, -1), "degree"),
-        (HelpRecord(1, 2, 0), "entry_port"),
     ],
     ids=lambda v: v if isinstance(v, str) else type(v).__name__,
 )
@@ -303,7 +301,9 @@ def test_step_values_keep_their_type_and_arity(step, state, v, winner, mode_afte
     else:
         assert 0 <= port < v.degree
     for record in effects:
-        assert_exact(record, HelpRecord)
+        # a help record is a plain (docked label, entry port) pair
+        assert type(record) is tuple and len(record) == 2
+        assert all(type(x) is int for x in record)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dispersim import cli, engine
 from dispersim.agents import HelpingState, Mode, memory_bits_helping, memory_bits_independent
 from dispersim.algorithms import (
-    HelpRecord,
     LocalView,
     SimulationInvariantError,
     helping_step,
@@ -19,7 +18,6 @@ from dispersim.analysis import async_iteration_bound, sync_round_bound
 from dispersim.engine import (
     AdversarialStalling,
     Algorithm,
-    Contender,
     MutexPolicy,
     RoundRobin,
     SeededRandom,
@@ -47,22 +45,22 @@ TRIANGLE = build_graph([(0, 1), (0, 2), (1, 2)])
 
 
 def test_lowest_label_ignores_arrival_data():
-    contenders = [Contender(7, 0, 0), Contender(3, 2, 5)]
+    contenders = [(0, 0, 7), (5, 2, 3)]
     assert arbitrate_mutex(contenders, MutexPolicy.LOWEST_LABEL) == 3
 
 
 def test_earliest_arrival_breaks_ties_by_port_then_label():
-    contenders = [Contender(5, 2, 0), Contender(2, 0, 0)]
+    contenders = [(0, 2, 5), (0, 0, 2)]
     assert arbitrate_mutex(contenders, MutexPolicy.EARLIEST_ARRIVAL) == 2
-    contenders = [Contender(5, 2, 0), Contender(2, 0, 1)]
+    contenders = [(0, 2, 5), (1, 0, 2)]
     assert arbitrate_mutex(contenders, MutexPolicy.EARLIEST_ARRIVAL) == 5
-    contenders = [Contender(5, 1, 0), Contender(2, 1, 0)]
+    contenders = [(0, 1, 5), (0, 1, 2)]
     assert arbitrate_mutex(contenders, MutexPolicy.EARLIEST_ARRIVAL) == 2
 
 
 def test_singleton_wins_under_any_policy():
     for policy in MutexPolicy:
-        assert arbitrate_mutex([Contender(9, 1, 4)], policy) == 9
+        assert arbitrate_mutex([(4, 1, 9)], policy) == 9
 
 
 def test_empty_contender_set_is_contract_violation():
@@ -666,13 +664,13 @@ def test_visitor_records_exist_exactly_from_dock_in_helping_family(helping):
 def test_help_records_serve_first_visits_only():
     world = WorldState(TRIANGLE, [0, 0, 0], helping=True)
     world.dock(1, 0, 0)
-    world.apply_help_record(HelpRecord(1, 3, 2))
+    world.apply_help_record(3, 1, 2)
     assert slots(world.local_view(3)) == (1, 4)
     # a repeat visit keeps the first entry port
-    world.apply_help_record(HelpRecord(1, 3, 0))
+    world.apply_help_record(3, 1, 0)
     assert slots(world.local_view(3)) == (1, 4)
     # a visitor recorded before it ever moved is stored as port -1
-    world.apply_help_record(HelpRecord(1, 2, -1))
+    world.apply_help_record(2, 1, -1)
     assert slots(world.local_view(2)) == (1, 1)
     assert list(world.records[0]) == [0, 0, 1, 4]
 
@@ -682,7 +680,7 @@ def test_local_views_keep_their_type_and_arity(helping):
     world = WorldState(TRIANGLE, [0, 0, 0, 1], helping=helping)
     world.dock(1, 0, 0)
     if helping:
-        world.apply_help_record(HelpRecord(1, 2, 1))
+        world.apply_help_record(2, 1, 1)
     free, fresh, seen = (world.local_view(lab) for lab in (4, 3, 2))
     for v in (free, fresh, seen):
         assert_exact(v, LocalView)
@@ -701,7 +699,7 @@ WIDE_STAR = build_graph([(0, i) for i in range(1, 256)])
 def test_visitor_records_widen_past_one_byte_on_high_degree_graphs():
     world = WorldState(WIDE_STAR, [0, 0, 0], helping=True)
     world.dock(1, 0, 0)
-    world.apply_help_record(HelpRecord(1, 2, 254))
+    world.apply_help_record(2, 1, 254)
     assert world.records[0].typecode == "i"
     assert slots(world.local_view(2)) == (1, 256)
     assert slots(world.local_view(3)) == (1, 0)
@@ -731,7 +729,7 @@ def test_help_record_to_robot_without_records_is_hard_failure(helping, target):
     world = WorldState(TRIANGLE, [0, 1], helping=helping)
     world.dock(2, 1, 0)  # robot 1 stays undocked
     with pytest.raises(SimulationInvariantError, match=f"robot {target} keeps no"):
-        world.apply_help_record(HelpRecord(target, 1, 0))
+        world.apply_help_record(1, target, 0)
 
 
 @pytest.mark.parametrize("helping", [True, False])

@@ -20,9 +20,7 @@ from dispersim.graph import (
     generate,
     graph_from_text,
     graph_to_text,
-    read_graph,
     relabel_nodes,
-    write_graph,
 )
 
 TRIANGLE = [(0, 1), (0, 2), (1, 2)]
@@ -174,13 +172,10 @@ def test_out_of_range_port_is_contract_violation():
         g.traverse(0, 1)
 
 
-def test_text_round_trip_preserves_ports(tmp_path):
+def test_text_round_trip_preserves_ports():
     g = build_graph(TRIANGLE, ports="random", seed=11)
     again = graph_from_text(graph_to_text(g))
     assert again.ports == g.ports
-    path = tmp_path / "g.txt"
-    write_graph(g, path)
-    assert read_graph(path).ports == g.ports
 
 
 def test_text_without_port_block_is_canonical():
