@@ -7,6 +7,7 @@ anywhere in this artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agents import Mode, memory_bits_helping, memory_bits_independent
 from .graph import InitialPlacement, PortLabeledGraph, generate
@@ -24,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class RobotStats:
+class RobotStats(NamedTuple):
     """Per-robot outcome figures; ``peak_stack_depth`` is None for the
     helping family, ``settle_time`` is None when the robot never docked."""
 

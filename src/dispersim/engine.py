@@ -13,7 +13,9 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
+from operator import sub
 from typing import Callable, Sequence
 
 from .agents import (
@@ -60,6 +62,9 @@ SAFETY_FACTOR = 4
 # one helping step serves both engines; perfbench/spans.py times each
 # engine's step through its own binding, which _start reads at run start
 helping_sync_step = helping_async_step = helping_step
+
+# made k times per run, so built in C like the step values (no arity check)
+_new_robot_stats = partial(tuple.__new__, RobotStats)
 
 
 class Algorithm(Enum):
@@ -433,26 +438,23 @@ def _build_report(
     events_elapsed: int | None,
     trace_sink: Callable[[str], None] | None,
 ) -> RunReport:
-    k, edges, delta = world.k, world.graph.edge_count, world.max_degree
+    k, edges, delta, states = world.k, world.graph.edge_count, world.max_degree, world.states
+    settled = [s.mode is SETTLED for s in states]
+    rounds = [s.round for s in states]
     if world.helping:
         # settling is absorbing: the final mode is the peak-memory mode
-        peaks = [memory_bits_helping(s.mode is SETTLED, k, delta, edges) for s in world.states]
+        bits = [memory_bits_helping(flag, k, delta, edges) for flag in (False, True)]
+        peaks, depths = map(bits.__getitem__, settled), repeat(None)
     else:
-        peaks = [memory_bits_independent(d, k, delta) for d in world.peak_stack]
+        depths = world.peak_stack
+        bits = {d: memory_bits_independent(d, k, delta) for d in set(depths)}
+        peaks = map(bits.__getitem__, depths)
     # every step advances the round counter and moves or docks, and a
     # settled robot never steps again: the counter is the iteration count,
     # and all but the docking iteration moved
-    robots = tuple(
-        RobotStats(
-            label=lab,
-            moves=s.round - (s.mode is SETTLED),
-            settle_time=world.settle_time[lab - 1],
-            active_iterations=s.round,
-            peak_memory_bits=peaks[lab - 1],
-            peak_stack_depth=None if world.helping else world.peak_stack[lab - 1],
-        )
-        for lab, s in enumerate(world.states, 1)
-    )
+    robots = tuple(map(_new_robot_stats, zip(
+        range(1, k + 1), map(sub, rounds, settled), world.settle_time, rounds, peaks, depths
+    )))
     return RunReport(
         algorithm=algorithm.value,
         dispersed=check_dispersion(world),
@@ -464,7 +466,7 @@ def _build_report(
         robot_count=world.k,
         robots=robots,
         final_positions=tuple(world.positions),
-        final_modes=tuple(s.mode.value for s in world.states),
+        final_modes=tuple(s.mode._value_ for s in states),
         mutex_contentions=world.mutex_contentions,
         trace_path=getattr(trace_sink, "path", None),
     )
@@ -492,10 +494,14 @@ def run_sync(
     always equal it.  A traced run renders each cohort step's line once and
     stamps each robot's line from it: the bytes a per-robot walk writes.
     Docks, then help records, then the leads' moves (single-lane) apply at
-    the end of the round.  Stops early once every robot settled.
+    the end of the round.  Stops early once every robot settled.  The walk
+    runs inline on the world's lists, as ``run_async``'s common event does.
     """
     algorithm, mutex_policy, world, step = _start(graph, placement, algorithm, mutex_policy, True)
-    positions, states, peak_stack = world.positions, world.states, world.peak_stack
+    helping, ports = world.helping, graph.ports
+    positions, states, docked, records = world.positions, world.states, world.docked, world.records
+    unsettled, peak_stack, pending_entry = world.unsettled, world.peak_stack, world.pending_entry
+    arrival_index, next_arrival = world.arrival_index, world.next_arrival
     by_start: dict[int, list[int]] = {}
     for lab, node in enumerate(positions, 1):
         by_start.setdefault(node, []).append(lab)
@@ -515,18 +521,19 @@ def run_sync(
 
     event_no = rounds_elapsed = 0
     for rnd in range(sync_round_bound(graph) + 1):
-        if not world.unsettled:
+        if not unsettled:
             break
         rounds_elapsed = rnd
         parked: dict[int, list[list[int]]] = {}
         for c in cohorts:
             node = positions[c[0] - 1]
-            if node not in world.docked:
+            if node not in docked:
                 parked.setdefault(node, []).append(c)
         winners, arbitrations = {}, {}
         for node, here in parked.items():
-            winners[node] = arbitrate_mutex([
-                (world.arrival_index[c[0] - 1], world.pending_entry[c[0] - 1], c[0]) for c in here
+            # a lone cohort's lead is the least contender of one
+            winners[node] = here[0][0] if len(here) == 1 else arbitrate_mutex([
+                (arrival_index[c[0] - 1], pending_entry[c[0] - 1], c[0]) for c in here
             ], mutex_policy)
             if len(here) > 1 or len(here[0]) > 1:
                 world.mutex_contentions += 1
@@ -534,32 +541,44 @@ def run_sync(
                 arbitrations[node] = mutex_json(sorted(chain(*here)), winners[node])
 
         # round-start lead -> its cohort's split line and the lead's own
-        docks, help_records, moves, stepped = [], [], [], {}
+        docks, help_records, landings, stepped = [], [], [], {}
         for c in cohorts:
-            lead = c[0]
-            node, old = positions[lead - 1], states[lead - 1]
-            view = world.local_view(lead)
-            state, port, effects = step(old, view, winners.get(node))
-            world.apply_state(lead, state)
+            lab = c[0]
+            i = lab - 1
+            node, old = positions[i], states[i]
+            table, here, winner = ports[node], docked.get(node), winners.get(node)
+            slot = records[here - 1][lab] if helping and here is not None else 0
+            view = new_local_view((len(table), here, pending_entry[i], slot))
+            state, port, effects = step(old, view, winner)
             if trace_sink is not None:
                 own = parts = split_line(node, old.mode, state, port, effects)
             if port < 0:
                 docks.append((c, node))
                 if len(c) > 1:
-                    nxt = c[1]
-                    positions[nxt - 1], peak_stack[nxt - 1] = node, peak_stack[lead - 1]
-                    state, port, effects = step(old._replace(label=nxt), view, winners[node])
-                    world.apply_state(nxt, state)
+                    world.apply_state(lab, state)
+                    lab = c[1]
+                    positions[lab - 1], peak_stack[lab - 1] = node, peak_stack[i]
+                    i, old = lab - 1, tuple.__new__(type(old), (lab, *old[1:]))
+                    state, port, effects = step(old, view, winner)
                     if trace_sink is not None:
                         parts = split_line(node, old.mode, state, port, effects)
+            if old.mode is SETTLED and state.mode is not SETTLED:
+                raise SimulationInvariantError(f"robot {lab} attempted to leave the settled mode")
+            states[i] = state
+            if not helping and len(state.stack) > peak_stack[i]:
+                peak_stack[i] = len(state.stack)
             if port >= 0:
-                moves.append((state.label, port))
+                try:
+                    dest, entry = table[port]
+                except IndexError:
+                    dest, entry = graph.traverse(node, port)  # raises its GraphError
+                landings.append((entry, lab, dest))
             for record in effects:
                 help_records.append((c, record))
             if trace_sink is not None:
-                stepped[lead] = parts, own
+                stepped[c[0]] = parts, own
         if trace_sink is not None:
-            for lab in world.unsettled:
+            for lab in unsettled:
                 lead = cohort_of[lab - 1][0]
                 parts, own = stepped[lead]
                 trace_sink(f'{{"event":{event_no}{str(lab).join(own if lab == lead else parts)}')
@@ -568,9 +587,9 @@ def run_sync(
         for c, node in docks:
             world.dock(c.pop(0), node, rnd)
         # after the docks, c[0] is the robot whose step made the record
-        for c, (docked, entry) in help_records:
-            world.apply_help_record(c[0], docked, entry)
-            slots = world.records[docked - 1]
+        for c, (docked_lab, entry) in help_records:
+            world.apply_help_record(c[0], docked_lab, entry)
+            slots = records[docked_lab - 1]
             code, others = slots[c[0]], c[1:]
             if others and others[-1] - others[0] == len(others) - 1:
                 # consecutive labels, as a colocated start gives: one store
@@ -578,8 +597,16 @@ def run_sync(
             else:
                 for lab in others:
                     slots[lab] = code
-        cohorts = [c for c in cohorts if c]
-        apply_moves_single_lane(world, moves)
+        if docks:
+            cohorts = [c for c in cohorts if c]
+        # single-lane: each node takes its arrivals by (entry port, label)
+        if len(landings) > 1:
+            landings.sort()
+        for entry, lab, dest in landings:
+            i = lab - 1
+            positions[i], pending_entry[i] = dest, entry
+            arrival_index[i] = next_arrival[dest]
+            next_arrival[dest] += 1
 
     # cut off at the bound: members still parked take their lead's state
     for c in cohorts:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -45,6 +45,11 @@ class PortLabeledGraph:
     node_count: int
     edge_count: int
     ports: tuple[tuple[tuple[int, int], ...], ...]
+    # the longest port table, found once: the tables never change
+    _max_degree: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_max_degree", max(map(len, self.ports), default=0))
 
     def degree(self, v: int) -> int:
         return len(self.ports[v])
@@ -58,9 +63,7 @@ class PortLabeledGraph:
 
     @property
     def max_degree(self) -> int:
-        if self.node_count == 0:
-            return 0
-        return max(len(t) for t in self.ports)
+        return self._max_degree
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list as (u, v) pairs with u < v, sorted: each edge

@@ -14,7 +14,7 @@ from dispersim.algorithms import (
     SimulationInvariantError,
     helping_step,
 )
-from dispersim.analysis import async_iteration_bound, sync_round_bound
+from dispersim.analysis import RobotStats, async_iteration_bound, sync_round_bound
 from dispersim.engine import (
     AdversarialStalling,
     Algorithm,
@@ -190,6 +190,22 @@ def _template_shapes(lines: list[str], placement) -> set[str]:
     return shapes
 
 
+def _free_node_cohorts(lines: list[str], placement) -> set[str]:
+    """How many cohorts the arbitrated free nodes of a synchronous trace
+    held: "one cohort" of several robots, whose lead wins without
+    arbitration, or "several cohorts"; a cohort is the robots that started
+    at one node, and they are always at one node together."""
+    shapes = set()
+    for rec in map(json.loads, lines):
+        contenders = rec["mutex"]["contenders"] if rec["mutex"] else []
+        starts = {placement[lab - 1] for lab in contenders}
+        if len(starts) > 1:
+            shapes.add("several cohorts")
+        elif len(contenders) > 1:
+            shapes.add("one cohort")
+    return shapes
+
+
 def _cohort_instances(rng: random.Random):
     """(graph, placement) pairs: two cohorts that meet at a free node in
     round 1 and cross one edge together in rounds 3 and 4, then seeded
@@ -211,7 +227,7 @@ def _cohort_instances(rng: random.Random):
 def test_cohort_walk_matches_the_per_robot_walk(alg, mutex):
     # the engine steps each cohort once; the per-robot oracle steps every
     # robot: same trace bytes, same report, traced or not
-    shared, shapes = 0, set()
+    shared, shapes, free_nodes = 0, set(), set()
     for g, placement in _cohort_instances(random.Random(31)):
         ours, oracle = [], []
         report = run_sync(g, placement, alg, mutex, ours.append)
@@ -220,6 +236,10 @@ def test_cohort_walk_matches_the_per_robot_walk(alg, mutex):
         assert run_sync(g, placement, alg, mutex) == report
         shared += _cohorts_share_an_edge(ours, placement)
         shapes |= _template_shapes(ours, placement)
+        free_nodes |= _free_node_cohorts(ours, placement)
+    # the sample holds free nodes that a lone lead wins without arbitration
+    # and free nodes arbitrated among several leads
+    assert free_nodes == {"one cohort", "several cohorts"}
     if mutex is MutexPolicy.EARLIEST_ARRIVAL:
         # the sample holds cohorts that cross one edge in one round
         assert shared > 0
@@ -266,6 +286,39 @@ def test_cohort_walk_cut_off_at_the_round_bound_matches_the_per_robot_walk(monke
         assert report == reference_run_sync(g, placement, alg, mutex, oracle.append)
         assert ours == oracle
         assert run_sync(g, placement, alg, mutex) == report
+
+
+@pytest.mark.parametrize("walk", [run_sync, reference_run_sync])
+def test_cohort_walk_raises_like_the_per_robot_walk(monkeypatch, walk):
+    g = generate("line", 3)
+
+    def off_the_table(state, view, mutex_winner):
+        return state, view.degree, ()
+
+    monkeypatch.setattr(engine, "independent_step", off_the_table)
+    with pytest.raises(GraphError, match="port 1 out of range at node 0"):
+        walk(g, [0], Algorithm.INDEPENDENT_SYNC)
+
+    def unsettle(state, view, mutex_winner):
+        mode = Mode.EXPLORE if state.mode is Mode.SETTLED else Mode.SETTLED
+        return state._replace(mode=mode), 0, ()
+
+    monkeypatch.setattr(engine, "independent_step", unsettle)
+    with pytest.raises(SimulationInvariantError, match="robot 1 attempted to leave the settled"):
+        walk(g, [0], Algorithm.INDEPENDENT_SYNC)
+
+    def dock_then_unsettle(state, view, mutex_winner):
+        # all turn settled and move on; at the next free node the winner
+        # docks and the robot stepping after it leaves the settled mode
+        if state.mode is not Mode.SETTLED:
+            return state._replace(mode=Mode.SETTLED), 0, ()
+        if mutex_winner == state.label:
+            return state, -1, ()
+        return state._replace(mode=Mode.EXPLORE), 0, ()
+
+    monkeypatch.setattr(engine, "independent_step", dock_then_unsettle)
+    with pytest.raises(SimulationInvariantError, match="robot 2 attempted to leave the settled"):
+        walk(g, [0, 0, 0], Algorithm.INDEPENDENT_SYNC)
 
 
 def test_sync_rejects_async_algorithm():
@@ -761,6 +814,34 @@ def test_safety_cap_reports_undispersed_run(monkeypatch):
     assert not report.dispersed
     assert report.events_elapsed == 0
     assert all(r.settle_time is None for r in report.robots)
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_report_values_keep_their_type_and_arity(monkeypatch, alg):
+    # the engine builds each RobotStats through tuple.__new__, which checks
+    # no arity; a run cut short leaves settled and unsettled robots
+    g = generate("grid", 20, ports="random", seed=1)
+    placement = [0] * 8 + [7] * 4
+    k, delta, m = len(placement), g.max_degree, g.edge_count
+    scheduler = None if alg.is_sync else SeededRandom(seed=2)
+    reports = [run(g, placement, alg, scheduler)]
+    # rounds 0..4, or an event cap of 1 * k * 5 = 60
+    monkeypatch.setattr(engine, "sync_round_bound", lambda graph: 4)
+    monkeypatch.setattr(engine, "SAFETY_FACTOR", 1)
+    reports.append(run(g, placement, alg, scheduler))
+    assert reports[0].dispersed and not reports[1].dispersed
+    assert len(set(reports[1].final_modes)) > 1 and "settled" in reports[1].final_modes
+    for report in reports:
+        for r, mode in zip(report.robots, report.final_modes, strict=True):
+            assert_exact(r, RobotStats)
+            assert r == RobotStats(**r._asdict())
+            assert type(r.moves) is int and type(r.active_iterations) is int
+            if alg.family == "helping":
+                assert r.peak_stack_depth is None
+                bits = memory_bits_helping(mode == "settled", k, delta, m)
+            else:
+                bits = memory_bits_independent(r.peak_stack_depth, k, delta)
+            assert r.peak_memory_bits == bits
 
 
 def test_report_shape_and_modes():

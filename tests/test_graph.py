@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,17 @@ def test_ring_generator_degrees():
     g = generate("ring", 4)
     assert g.edge_count == 4
     assert all(g.degree(v) == 2 for v in range(4))
+
+
+def test_stored_max_degree_stays_out_of_equality_repr_and_constructor():
+    g = generate("grid", 16, seed=1, ports="random")
+    assert g.max_degree == max(map(len, g.ports)) == 4
+    same = PortLabeledGraph(g.node_count, g.edge_count, g.ports)
+    assert same == g and hash(same) == hash(g) and repr(same) == repr(g)
+    assert repr(g).endswith(f"ports={g.ports!r})")
+    assert [f.name for f in fields(PortLabeledGraph) if f.init] == ["node_count", "edge_count", "ports"]
+    # a property, so that a timing wrapper can wrap its getter
+    assert isinstance(PortLabeledGraph.__dict__["max_degree"], property)
 
 
 def test_line3_traverse_example():
