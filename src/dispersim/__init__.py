@@ -20,11 +20,9 @@ from .algorithms import (
 from .analysis import (
     RobotStats,
     RunReport,
-    async_iteration_bound,
     check_dispersion,
     check_memory_bound,
     check_time_bound,
-    lower_bound_fixture,
     single_robot_dfs_oracle,
     sync_round_bound,
 )
@@ -48,7 +46,6 @@ from .graph import (
     generate,
     graph_from_text,
     graph_to_text,
-    relabel_nodes,
 )
 
 __version__ = "0.1.0"

@@ -10,18 +10,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .agents import Mode, memory_bits_helping, memory_bits_independent
-from .graph import InitialPlacement, PortLabeledGraph, generate
+from .graph import PortLabeledGraph
 
 __all__ = [
     "RobotStats",
     "RunReport",
     "sync_round_bound",
-    "async_iteration_bound",
     "check_dispersion",
     "check_time_bound",
     "check_memory_bound",
     "single_robot_dfs_oracle",
-    "lower_bound_fixture",
 ]
 
 
@@ -108,15 +106,10 @@ class RunReport:
         }
 
 
-def sync_round_bound(graph: PortLabeledGraph) -> int:
-    """Last round index of the main loop: 4m - 2(n-1)."""
+def sync_round_bound(graph) -> int:
+    """Last round index of the main loop, 4m - 2(n-1), of anything with
+    ``node_count`` and ``edge_count``: a graph or a run report."""
     return 4 * graph.edge_count - 2 * (graph.node_count - 1)
-
-
-def async_iteration_bound(graph: PortLabeledGraph) -> int:
-    """Maximum active iterations per robot: the inclusive loop runs
-    4m - 2(n-1) + 1 times."""
-    return sync_round_bound(graph) + 1
 
 
 def check_dispersion(world) -> bool:
@@ -130,14 +123,14 @@ def check_dispersion(world) -> bool:
     return settled and len(set(positions)) == len(positions)
 
 
-def check_time_bound(report: RunReport, graph: PortLabeledGraph) -> bool:
-    """Exact time-bound check.
+def check_time_bound(report: RunReport) -> bool:
+    """Exact time-bound check, with n and m read from the report.
 
     Synchronous runs: every robot settled within rounds 0..4m-2(n-1).
     Asynchronous runs: every robot executed at most 4m-2(n-1)+1 active
     iterations.
     """
-    bound = sync_round_bound(graph)
+    bound = sync_round_bound(report)
     if report.rounds_elapsed is not None:
         return all(
             r.settle_time is not None and r.settle_time <= bound
@@ -146,15 +139,15 @@ def check_time_bound(report: RunReport, graph: PortLabeledGraph) -> bool:
     return all(r.active_iterations <= bound + 1 for r in report.robots)
 
 
-def check_memory_bound(
-    report: RunReport, k: int, max_degree: int, edge_count: int
-) -> bool:
-    """Per-robot peak memory never exceeds the closed-form family maximum:
-    a settled helping robot, or an independent robot at stack depth k-1."""
+def check_memory_bound(report: RunReport) -> bool:
+    """Per-robot peak memory never exceeds the closed-form family maximum,
+    with k, Δ and m read from the report: a settled helping robot, or an
+    independent robot at stack depth k-1."""
+    k, delta = report.robot_count, report.max_degree
     if report.algorithm.startswith("helping"):
-        bound = memory_bits_helping(True, k, max_degree, edge_count)
+        bound = memory_bits_helping(True, k, delta, report.edge_count)
     else:
-        bound = memory_bits_independent(k - 1, k, max_degree)
+        bound = memory_bits_independent(k - 1, k, delta)
     return all(r.peak_memory_bits <= bound for r in report.robots)
 
 
@@ -194,12 +187,3 @@ def single_robot_dfs_oracle(
             visited[u] = True
             frames.append([u, q, q, graph.degree(u) - 1])
     return seq
-
-
-def lower_bound_fixture(k: int) -> tuple[PortLabeledGraph, InitialPlacement]:
-    """Worst-case instance: a k-node path with all robots at one end, which
-    forces some robot to travel k-1 hops."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    graph = generate("line", k)
-    return graph, InitialPlacement((0,) * k)

@@ -125,13 +125,13 @@ def _make_scheduler(
     return policy(seed=rep_seed) if policy is SeededRandom else policy()
 
 
-def _bounds_ok(report: RunReport, graph: PortLabeledGraph, k: int) -> bool:
+def _bounds_ok(report: RunReport) -> bool:
     depth = report.max_stack_depth
     return (
         report.dispersed
-        and check_time_bound(report, graph)
-        and check_memory_bound(report, k, report.max_degree, report.edge_count)
-        and (depth is None or depth <= k - 1)
+        and check_time_bound(report)
+        and check_memory_bound(report)
+        and (depth is None or depth < report.robot_count)
     )
 
 
@@ -275,7 +275,7 @@ def run_experiment(args: argparse.Namespace) -> int:
         finally:
             if sink is not None:
                 sink.close()
-        if not _bounds_ok(report, graph, args.k):
+        if not _bounds_ok(report):
             failures.append((rep, report.trace_path))
         reports.append(report)
 

@@ -21,7 +21,6 @@ __all__ = [
     "InitialPlacement",
     "build_graph",
     "generate",
-    "relabel_nodes",
     "graph_to_text",
     "graph_from_text",
 ]
@@ -120,10 +119,6 @@ class InitialPlacement:
     """Start nodes for robots: entry i is the position of robot label i+1."""
 
     robot_positions: tuple[int, ...]
-
-    @property
-    def robot_count(self) -> int:
-        return len(self.robot_positions)
 
     def validate(self, graph: PortLabeledGraph) -> None:
         k = len(self.robot_positions)
@@ -314,19 +309,6 @@ def generate(
     if m is not None and family != "gnm" and m != len(edges):
         raise GraphError(f"family {family!r} with n={n} has m={len(edges)}, not {m}")
     return build_graph(edges, ports=ports, seed=seed, node_count=n)
-
-
-def relabel_nodes(g: PortLabeledGraph, permutation: Sequence[int]) -> PortLabeledGraph:
-    """Apply a node permutation, preserving every port number.
-
-    ``permutation[v]`` is the new index of old node ``v``.  Used to audit
-    that algorithms never read node identity.
-    """
-    if sorted(permutation) != list(range(g.node_count)):
-        raise GraphError("relabeling must be a permutation of all nodes")
-    edges = [(permutation[u], permutation[v]) for u, v in g.edges()]
-    orders = {permutation[v]: [permutation[u] for u, _ in t] for v, t in enumerate(g.ports)}
-    return build_graph(edges, ports=orders, node_count=g.node_count)
 
 
 def graph_to_text(g: PortLabeledGraph) -> str:

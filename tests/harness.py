@@ -1,10 +1,10 @@
-"""Shared test machinery: seeded random instances, a trace sink that parses
-what it receives, a check of a step value's type and arity, the
-docking-disabled single-robot traversal harness used for DFS-oracle
-equivalence, the walk witness that checks a run from its trace alone, the
-per-robot synchronous walk that the engine's cohort walk is checked
-against, and the asynchronous event walk through ``WorldState`` that the
-engine's inline event loop is checked against."""
+"""Shared test machinery: seeded random instances, node relabeling, a trace
+sink that parses what it receives, a check of a step value's type and
+arity, the docking-disabled single-robot traversal harness used for
+DFS-oracle equivalence, the walk witness that checks a run from its trace
+alone, the per-robot synchronous walk that the engine's cohort walk is
+checked against, and the asynchronous event walk through ``WorldState``
+that the engine's inline event loop is checked against."""
 
 from __future__ import annotations
 
@@ -21,7 +21,13 @@ from dispersim.algorithms import (
     settled_service,
 )
 from dispersim.analysis import RunReport, single_robot_dfs_oracle
-from dispersim.graph import InitialPlacement, PortLabeledGraph, build_graph, generate
+from dispersim.graph import (
+    GraphError,
+    InitialPlacement,
+    PortLabeledGraph,
+    build_graph,
+    generate,
+)
 
 STEP_FUNCTIONS = {"helping": helping_step, "independent": independent_step}
 
@@ -60,6 +66,19 @@ def random_connected_instance(
     k = rng.randint(1, n)
     placement = InitialPlacement(tuple(rng.randrange(n) for _ in range(k)))
     return g, placement
+
+
+def relabel_nodes(g: PortLabeledGraph, permutation: Sequence[int]) -> PortLabeledGraph:
+    """Apply a node permutation, preserving every port number.
+
+    ``permutation[v]`` is the new index of old node ``v``.  Used to audit
+    that algorithms never read node identity.
+    """
+    if sorted(permutation) != list(range(g.node_count)):
+        raise GraphError("relabeling must be a permutation of all nodes")
+    edges = [(permutation[u], permutation[v]) for u, v in g.edges()]
+    orders = {permutation[v]: [permutation[u] for u, _ in t] for v, t in enumerate(g.ports)}
+    return build_graph(edges, ports=orders, node_count=g.node_count)
 
 
 def traversal_without_docking(

@@ -12,7 +12,6 @@ from dispersim import cli
 from dispersim.analysis import (
     check_memory_bound,
     check_time_bound,
-    lower_bound_fixture,
     single_robot_dfs_oracle,
 )
 from dispersim.engine import (
@@ -91,9 +90,7 @@ def test_criterion_1_dispersion(grid):
 
 
 def test_criterion_2_time_bound(grid):
-    bad = sum(
-        1 for graph, _, _, _, _, report in grid if not check_time_bound(report, graph)
-    )
+    bad = sum(1 for *_, report in grid if not check_time_bound(report))
     _verdict(
         2,
         bad == 0,
@@ -103,13 +100,7 @@ def test_criterion_2_time_bound(grid):
 
 
 def test_criterion_3_memory_bound(grid):
-    bad = sum(
-        1
-        for graph, placement, _, _, _, report in grid
-        if not check_memory_bound(
-            report, placement.robot_count, graph.max_degree, graph.edge_count
-        )
-    )
+    bad = sum(1 for *_, report in grid if not check_memory_bound(report))
     _verdict(
         3,
         bad == 0,
@@ -120,16 +111,14 @@ def test_criterion_3_memory_bound(grid):
 
 def test_criterion_4_stack_depth(grid):
     independent = [
-        (placement.robot_count, report)
-        for _, placement, alg, _, _, report in grid
-        if alg.family == "independent"
+        report for _, _, alg, _, _, report in grid if alg.family == "independent"
     ]
-    over = sum(1 for k, r in independent if (r.max_stack_depth or 0) > k - 1)
+    over = sum(1 for r in independent if (r.max_stack_depth or 0) >= r.robot_count)
     exact = True
     for k in range(1, 11):
-        graph, placement = lower_bound_fixture(k)
+        graph = generate("line", k)
         for alg in (Algorithm.INDEPENDENT_SYNC, Algorithm.INDEPENDENT_ASYNC):
-            report = run(graph, placement, alg)
+            report = run(graph, [0] * k, alg)
             if report.max_stack_depth != k - 1:
                 exact = False
     _verdict(
@@ -143,9 +132,9 @@ def test_criterion_4_stack_depth(grid):
 def test_criterion_5_lower_bound_fixture():
     ok = True
     for k in range(2, 11):
-        graph, placement = lower_bound_fixture(k)
+        graph = generate("line", k)
         for alg in SYNC_ALGORITHMS + ASYNC_ALGORITHMS:
-            report = run(graph, placement, alg)
+            report = run(graph, [0] * k, alg)
             if not (report.dispersed and report.max_moves >= k - 1):
                 ok = False
     _verdict(
@@ -185,7 +174,7 @@ def test_every_robot_walks_a_prefix_of_its_dfs_walk():
         graph, placement = random_connected_instance(rng, n_max=40)
         if idx % 3 == 0:
             node = rng.randrange(graph.node_count)
-            placement = InitialPlacement((node,) * placement.robot_count)
+            placement = InitialPlacement((node,) * len(placement.robot_positions))
         starts, walks = placement.robot_positions, {}
         for mutex in MutexPolicy:
             for alg in SYNC_ALGORITHMS:

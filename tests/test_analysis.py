@@ -1,24 +1,23 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from dispersim.agents import HelpingState, Mode
+from dispersim.agents import HelpingState, Mode, memory_bits_helping, memory_bits_independent
 from dispersim.analysis import (
-    async_iteration_bound,
     check_dispersion,
     check_memory_bound,
     check_time_bound,
-    lower_bound_fixture,
     single_robot_dfs_oracle,
     sync_round_bound,
 )
 from dispersim.engine import Algorithm, run, run_async, run_sync
-from dispersim.graph import generate, relabel_nodes
+from dispersim.graph import generate
 
-from harness import random_connected_instance, traversal_without_docking
+from harness import random_connected_instance, relabel_nodes, traversal_without_docking
 
 
 def world(positions, modes):
@@ -41,7 +40,7 @@ def test_time_bound_line_n2():
     g = generate("line", 2)
     assert sync_round_bound(g) == 2
     report = run_sync(g, [0, 0], Algorithm.HELPING_SYNC)
-    assert check_time_bound(report, g)
+    assert check_time_bound(report)
     assert all(r.settle_time <= 2 for r in report.robots)
 
 
@@ -49,25 +48,63 @@ def test_time_bound_distinct_starts():
     g = generate("gnm", 7, 10, seed=6)
     report = run_sync(g, [0, 2, 4], Algorithm.INDEPENDENT_SYNC)
     assert all(r.settle_time == 0 for r in report.robots)
-    assert check_time_bound(report, g)
+    assert check_time_bound(report)
 
 
 def test_time_bound_async_counts_iterations():
     g = generate("ring", 5)
     report = run_async(g, [0, 0, 0], Algorithm.INDEPENDENT_ASYNC)
-    assert check_time_bound(report, g)
-    assert async_iteration_bound(g) == sync_round_bound(g) + 1
+    assert check_time_bound(report)
+
+
+def with_first_robot(report, **changes):
+    """``report`` with its first robot's figures replaced."""
+    first = report.robots[0]._replace(**changes)
+    return replace(report, robots=(first, *report.robots[1:]))
+
+
+def test_time_bound_fails_on_a_late_settle():
+    report = run_sync(generate("ring", 5), [0, 0, 0], Algorithm.HELPING_SYNC)
+    bound = sync_round_bound(report)
+    assert check_time_bound(with_first_robot(report, settle_time=bound))
+    assert not check_time_bound(with_first_robot(report, settle_time=bound + 1))
+    assert not check_time_bound(with_first_robot(report, settle_time=None))
+
+
+def test_time_bound_fails_on_an_extra_async_iteration():
+    report = run_async(generate("ring", 5), [0, 0, 0], Algorithm.INDEPENDENT_ASYNC)
+    bound = sync_round_bound(report)
+    assert check_time_bound(with_first_robot(report, active_iterations=bound + 1))
+    assert not check_time_bound(with_first_robot(report, active_iterations=bound + 2))
 
 
 def test_memory_bound_matches_agent_formulas():
     g = generate("ring", 4)  # n=m=4, delta=2
-    k = 3
     report = run_sync(g, [0, 0, 0], Algorithm.HELPING_SYNC)
-    assert check_memory_bound(report, k, g.max_degree, g.edge_count)
+    assert check_memory_bound(report)
     # settled helping robot: 2*2 + 3 + ceil(log2(17)) + 3 + 3*2 = 21
     assert report.max_memory_bits == 2 * 2 + 3 + 5 + 3 + 3 * 2
     report = run_async(g, [0, 0, 0], Algorithm.INDEPENDENT_ASYNC)
-    assert check_memory_bound(report, k, g.max_degree, g.edge_count)
+    assert check_memory_bound(report)
+
+
+@pytest.mark.parametrize(
+    "alg, top",
+    [
+        (Algorithm.HELPING_SYNC, memory_bits_helping(True, 3, 2, 4)),
+        (Algorithm.INDEPENDENT_ASYNC, memory_bits_independent(2, 3, 2)),
+    ],
+)
+def test_memory_bound_fails_above_the_family_maximum(alg, top):
+    report = run(generate("ring", 4), [0, 0, 0], alg)  # k=3, delta=2, m=4
+    assert check_memory_bound(with_first_robot(report, peak_memory_bits=top))
+    assert not check_memory_bound(with_first_robot(report, peak_memory_bits=top + 1))
+
+
+def test_memory_bound_reads_k_from_the_report():
+    report = run_sync(generate("ring", 4), [0, 0, 0], Algorithm.HELPING_SYNC)
+    # a settled helping robot of k=3 holds more bits than one of k=1 may
+    assert not check_memory_bound(replace(report, robot_count=1))
 
 
 def test_dfs_oracle_line3():
@@ -113,36 +150,12 @@ def test_docking_disabled_traversal_equals_oracle(family):
         )
 
 
-def test_lower_bound_fixture_shape():
-    g, placement = lower_bound_fixture(5)
-    assert g.node_count == 5
-    assert g.edge_count == 4
-    assert placement.robot_positions == (0,) * 5
-    assert [g.degree(v) for v in range(5)] == [1, 2, 2, 2, 1]
-
-
 def test_lower_bound_fixture_single_robot():
-    g, placement = lower_bound_fixture(1)
+    g = generate("line", 1)
     assert g.node_count == 1
-    report = run_sync(g, placement, Algorithm.HELPING_SYNC)
+    report = run_sync(g, [0], Algorithm.HELPING_SYNC)
     assert report.dispersed
     assert report.robots[0].moves == 0
-
-
-@pytest.mark.parametrize(
-    "alg",
-    [
-        Algorithm.HELPING_SYNC,
-        Algorithm.INDEPENDENT_SYNC,
-        Algorithm.HELPING_ASYNC,
-        Algorithm.INDEPENDENT_ASYNC,
-    ],
-)
-def test_lower_bound_fixture_forces_k_minus_1_hops(alg):
-    g, placement = lower_bound_fixture(5)
-    report = run(g, placement, alg)
-    assert report.dispersed
-    assert report.max_moves >= 4
 
 
 def test_report_serialization_round_trip_fields():

@@ -14,7 +14,7 @@ from dispersim.algorithms import (
     SimulationInvariantError,
     helping_step,
 )
-from dispersim.analysis import RobotStats, async_iteration_bound, sync_round_bound
+from dispersim.analysis import RobotStats, sync_round_bound
 from dispersim.engine import (
     AdversarialStalling,
     Algorithm,
@@ -28,12 +28,13 @@ from dispersim.engine import (
     run_async,
     run_sync,
 )
-from dispersim.graph import GraphError, InitialPlacement, build_graph, generate, relabel_nodes
+from dispersim.graph import GraphError, InitialPlacement, build_graph, generate
 
 from harness import (
     assert_exact,
     random_connected_instance,
     record_sink,
+    relabel_nodes,
     reference_run_async,
     reference_run_sync,
 )
@@ -214,7 +215,7 @@ def _cohort_instances(rng: random.Random):
     yield generate("gnm", 7, 14, seed=1, ports="random"), [0] * 3 + [1] * 4
     for _ in range(30):
         g, scattered = random_connected_instance(rng, n_max=24)
-        n, k = g.node_count, scattered.robot_count
+        n, k = g.node_count, len(scattered.robot_positions)
         starts = rng.sample(range(n), min(n, 3))
         yield g, scattered.robot_positions
         yield g, rng.sample(range(n), k)
@@ -392,7 +393,7 @@ def test_ring_async_within_iteration_bound():
     placement = [rng.randrange(6) for _ in range(4)]
     report = run_async(g, placement, Algorithm.INDEPENDENT_ASYNC)
     assert report.dispersed
-    assert async_iteration_bound(g) == 15
+    assert sync_round_bound(g) + 1 == 15
     assert all(r.active_iterations <= 15 for r in report.robots)
     # sanity oracle: the synchronous engine disperses the same instance
     sync_report = run_sync(g, placement, Algorithm.INDEPENDENT_SYNC)
@@ -955,7 +956,7 @@ def test_relabeling_nodes_yields_identical_traces_up_to_relabeling(alg, kwargs):
 def test_random_instances_disperse_with_valid_invariants(seed):
     rng = random.Random(seed)
     g, placement = random_connected_instance(rng, n_max=16)
-    k = placement.robot_count
+    k = len(placement.robot_positions)
     for alg, kwargs in (
         (Algorithm.HELPING_SYNC, {}),
         (Algorithm.INDEPENDENT_SYNC, {}),
@@ -1014,7 +1015,7 @@ def test_report_counters_match_the_trace(alg, scheduler, mutex):
     in_absentia = 0
     for _ in range(12):
         g, scattered = random_connected_instance(rng, n_max=16)
-        k = scattered.robot_count
+        k = len(scattered.robot_positions)
         colocated = [rng.randrange(g.node_count)] * k
         for placement in (scattered, colocated):
             records = []

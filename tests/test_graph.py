@@ -21,8 +21,9 @@ from dispersim.graph import (
     generate,
     graph_from_text,
     graph_to_text,
-    relabel_nodes,
 )
+
+from harness import relabel_nodes
 
 TRIANGLE = [(0, 1), (0, 2), (1, 2)]
 
